@@ -1,5 +1,7 @@
-# Mirrors .github/workflows/ci.yml — `make ci` runs exactly what the
-# CI gate runs, so a green local run means a green PR.
+# Mirrors .github/workflows/ci.yml — every CI job runs its gate
+# through the target of the same name here, so `make ci` runs exactly
+# what CI runs (bar the network-fetched govulncheck scan) and a green
+# local run means a green PR.
 
 GO ?= go
 
@@ -83,9 +85,10 @@ tenant-smoke:
 # the live /metrics scrape in both content negotiations with
 # lce-tracecheck, then dump the flight recorder and replay it through
 # lce-replay against a fresh server with the same seeds — any byte
-# difference in any response fails the target. The dump and the SSE
-# capture are left behind as artifacts (flight-dump.json,
-# ops-events.txt).
+# difference in any response fails the target. Last, the ops overhead
+# bench (plane off vs on) runs. The dump, the SSE capture and the
+# bench are left behind as artifacts (flight-dump.json,
+# ops-events.txt, bench-ops.json).
 ops-smoke:
 	$(GO) build -o lce-server-ops ./cmd/lce-server
 	$(GO) build -o lce-replay-ops ./cmd/lce-replay
@@ -109,6 +112,7 @@ ops-smoke:
 	kill $$pid 2>/dev/null; \
 	./lce-replay-ops -dump flight-dump.json -backend oracle -chaos -fault-rate 0.2 -chaos-seed 7; \
 	echo "ops smoke: metrics lint (prom + openmetrics), SSE stream, flight dump + byte-identical replay all OK"
+	$(GO) run ./cmd/lce-bench -ops -short -json bench-ops.json
 
 # Interp gate: the closure-compiled interpreter must answer
 # byte-identically to the reference tree-walker — differential suites

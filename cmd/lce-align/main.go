@@ -8,9 +8,11 @@
 //	lce-align -service ec2 -chaos -fault-rate 0.1 -chaos-seed 7
 //
 // The comparison phase fans out across -workers goroutines (default:
-// GOMAXPROCS); the result is identical at any worker count. It runs
-// the emulator compiled to pre-resolved closures by default; -interp
-// walk forces the reference tree-walker (same result, slower rounds).
+// GOMAXPROCS). Without -chaos the result is identical at any worker
+// count. Under -chaos each worker owns its own fault stream and traces
+// reach workers in scheduling order: with retries the rounds stay
+// identical but the retry tallies vary, and with -no-retry the rounds
+// vary too. Only -workers 1 reproduces a chaos run exactly.
 //
 // With -chaos the oracle is wrapped in the deterministic fault
 // injector and (unless -no-retry) each worker talks to it through the
@@ -41,8 +43,7 @@ import (
 
 func main() {
 	service := flag.String("service", "ec2", "service to align: ec2 | dynamodb | network-firewall | azure-network")
-	workers := flag.Int("workers", 0, "comparison worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	interpM := flag.String("interp", "compiled", "comparison-phase interpreter mode: compiled | walk (identical results, different wall-clock)")
+	workers := flag.Int("workers", 0, "comparison worker pool size (0 = GOMAXPROCS, 1 = serial); any size gives the same result without -chaos, but only 1 reproduces a -chaos run exactly (with -no-retry the rounds vary, with retries the retry tallies)")
 	chaos := flag.Bool("chaos", false, "inject transient faults into the oracle")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the fault-injection stream")
 	faultRate := flag.Float64("fault-rate", 0.1, "total per-call fault probability when -chaos is set")
@@ -56,24 +57,21 @@ func main() {
 	if *perfect {
 		opts = lce.PerfectOptions()
 	}
-	var ob *lce.Obs
+	cfg := lce.AlignConfig{Workers: *workers}
 	if *traceOut != "" {
-		ob = lce.NewObs(*traceSeed)
+		cfg.Obs = lce.NewObs(*traceSeed)
 	}
-	var res *lce.AlignResult
-	var err error
 	if *chaos {
-		var policy *lce.RetryPolicy
+		faults := lce.UniformFaults(*faultRate, *chaosSeed)
+		cfg.Faults = &faults
 		if !*noRetry {
 			p := lce.DefaultRetryPolicy()
 			p.Seed = *chaosSeed
-			policy = &p
+			cfg.Retry = &p
 		}
-		res, err = lce.AlignWithFlakyCloudInterp(*service, opts, *workers,
-			lce.UniformFaults(*faultRate, *chaosSeed), policy, *interpM, ob)
-	} else {
-		res, err = lce.AlignWithCloudInterp(*service, opts, *workers, *interpM, ob)
 	}
+	ob := cfg.Obs
+	res, err := lce.Align(*service, opts, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lce-align:", err)
 		os.Exit(1)

@@ -16,11 +16,9 @@ import (
 )
 
 func main() {
-	docs, err := lce.Documentation("dynamodb")
-	if err != nil {
-		log.Fatal(err)
-	}
-	emu, _, err := lce.Learn(docs, lce.PerfectOptions())
+	// A learned backend synthesized from the DynamoDB documentation
+	// with the zero-noise extraction.
+	emu, err := lce.NewServer(lce.ServerConfig{Service: "dynamodb", Backend: "learned"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: lce.Serve(emu)}
+	srv := &http.Server{Handler: emu.Handler}
 	go srv.Serve(ln)
 	defer srv.Close()
 	endpoint := "http://" + ln.Addr().String()

@@ -11,17 +11,17 @@
 // per seed — is embarrassingly parallel and dominates wall-clock time,
 // so it fans out over a bounded worker pool (Options.Workers). Each
 // worker owns a private emulator instance (forked from one emulator
-// rebuilt — and by default compiled — from the shared spec, which is
-// read-only during comparison) and a private oracle
-// instance (stamped out by a cloudapi.BackendFactory), so no mutable
-// state crosses goroutines; per-trace reports are merged back in trace
-// order, which makes a parallel round's Result byte-identical to a
-// serial one's. The repair phase stays single-goroutine: it mutates
-// the spec.
+// rebuilt and compiled from the shared spec, which is read-only during
+// comparison) and a private oracle instance (stamped out by a
+// cloudapi.BackendFactory), so no mutable state crosses goroutines;
+// per-trace reports are merged back in trace order, which makes a
+// parallel round's Result byte-identical to a serial one's. The repair
+// phase stays single-goroutine: it mutates the spec.
 package align
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -30,7 +30,6 @@ import (
 	"lce/internal/cloudapi"
 	"lce/internal/docs"
 	"lce/internal/interp"
-	"lce/internal/metrics"
 	"lce/internal/obsv"
 	"lce/internal/retry"
 	"lce/internal/spec"
@@ -95,8 +94,10 @@ type Result struct {
 	// Final is the aligned (or best-effort) emulator.
 	Final *interp.Emulator
 	// Stats aggregates run-wide counters (comparisons, divergences,
-	// repairs). Deterministic for a given workload at any worker count.
-	Stats metrics.AlignStats
+	// repairs). Deterministic for a given workload at any worker count,
+	// except the retry and transient-fault tallies of a chaos run,
+	// which follow worker scheduling.
+	Stats Stats
 }
 
 // Options tunes the loop.
@@ -106,26 +107,17 @@ type Options struct {
 	// to the seed suite.
 	GenerateViolations bool
 	// Workers bounds the comparison-phase worker pool. 0 (the default)
-	// means GOMAXPROCS; 1 forces the serial path. Any setting yields an
-	// identical Result — parallelism only changes wall-clock time. When
-	// the oracle cannot be instantiated per worker (no factory and no
-	// cloudapi.Forker support), the engine falls back to serial
-	// regardless of this setting.
+	// means GOMAXPROCS; 1 forces the serial path. Against a
+	// deterministic oracle any setting yields an identical Result —
+	// parallelism only changes wall-clock time.
 	Workers int
 	// Retry, when non-nil, wraps every worker's oracle in a resilient
 	// client with this policy: transient oracle faults (throttling,
-	// 5xx, timeouts) are retried — counted in the run's
-	// metrics.AlignStats — instead of surfacing as spurious
-	// divergences. Each worker's wrapper draws a derived jitter seed
-	// so backoff schedules stay deterministic per worker.
+	// 5xx, timeouts) are retried — counted in the run's Stats —
+	// instead of surfacing as spurious divergences. Each worker's
+	// wrapper draws a derived jitter seed so backoff schedules stay
+	// deterministic per worker.
 	Retry *retry.Policy
-	// Interp selects the emulator's dispatch mode for the comparison
-	// phase: "" or interp.ModeCompiled lower the spec to pre-resolved
-	// closures (recompiled every round, since repairs mutate the spec);
-	// interp.ModeWalk forces the reference tree-walker. The modes are
-	// byte-identical in behaviour — this only changes comparison-phase
-	// latency — so Result is the same either way.
-	Interp string
 	// Obs, when non-nil, records the run's observability: one root
 	// span per trace comparison (keyed by round and trace index, so
 	// trace IDs are identical across runs and worker counts), nested
@@ -136,24 +128,22 @@ type Options struct {
 	Obs *obsv.Obs
 }
 
-// Run executes the alignment loop over svc, mutating it in place. The
-// oracle is forked per worker when it supports cloudapi.Forker (every
-// hand-written cloud model does); otherwise the loop runs serially on
-// the single shared instance.
-func Run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, seeds []trace.Trace, opts Options) (*Result, error) {
-	return run(svc, brief, oracle, cloudapi.FactoryOf(oracle), seeds, opts)
-}
+// errNilFactory rejects a missing oracle factory up front: every
+// comparison worker draws its own oracle instance from it.
+var errNilFactory = errors.New("align: nil backend factory")
 
-// RunFactory is Run for callers that construct oracles explicitly: each
-// comparison worker draws its own instance from the factory.
-func RunFactory(svc *spec.Service, brief *docs.ServiceDoc, factory cloudapi.BackendFactory, seeds []trace.Trace, opts Options) (*Result, error) {
+// Run executes the alignment loop over svc, mutating it in place. Each
+// comparison worker draws its own oracle instance from factory, so no
+// oracle state is shared across goroutines.
+func Run(svc *spec.Service, brief *docs.ServiceDoc, factory cloudapi.BackendFactory, seeds []trace.Trace, opts Options) (*Result, error) {
 	if factory == nil {
-		return nil, fmt.Errorf("align: nil backend factory")
+		return nil, errNilFactory
 	}
-	return run(svc, brief, factory(), factory, seeds, opts)
-}
-
-func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, factory cloudapi.BackendFactory, seeds []trace.Trace, opts Options) (*Result, error) {
+	// Draw and discard one oracle before round 1. Chaos factories number
+	// their instances, and the fault schedule a chaos seed produces is
+	// defined with this draw in place: round 1's workers get instances
+	// 1..N.
+	factory()
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = len(svc.SMs) + 2
 	}
@@ -161,10 +151,10 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 	if opts.GenerateViolations {
 		traces = append(traces, symexec.ViolationTraces(svc, seeds)...)
 	}
-	workers := poolSize(opts.Workers, len(traces), factory != nil)
+	workers := poolSize(opts.Workers, len(traces))
 
 	res := &Result{}
-	counters := &metrics.AlignCounters{}
+	counters := &Counters{}
 	// One keyed-ID epoch per run: reusing an Obs across runs keeps
 	// trace IDs unique without losing run-to-run determinism.
 	epoch := opts.Obs.TracerOrNil().NextEpoch()
@@ -184,7 +174,7 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 	redocumented := map[string]bool{}
 
 	for round := 1; round <= opts.MaxRounds; round++ {
-		reports, emu, err := compareRound(svc, oracle, factory, traces, workers, opts.Retry, counters, epoch, round, opts.Obs, opts.Interp)
+		reports, emu, err := compareRound(svc, factory, traces, workers, opts.Retry, counters, epoch, round, opts.Obs)
 		if err != nil {
 			return res, err
 		}
@@ -286,9 +276,8 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 }
 
 // poolSize resolves the effective worker count: requested (or
-// GOMAXPROCS when unset), clamped to the number of traces, and forced
-// to 1 when per-worker oracle instances are unavailable.
-func poolSize(requested, traces int, haveFactory bool) int {
+// GOMAXPROCS when unset), clamped to the number of traces, floored at 1.
+func poolSize(requested, traces int) int {
 	w := requested
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -296,7 +285,7 @@ func poolSize(requested, traces int, haveFactory bool) int {
 	if w > traces {
 		w = traces
 	}
-	if w < 1 || !haveFactory {
+	if w < 1 {
 		w = 1
 	}
 	return w
@@ -304,57 +293,42 @@ func poolSize(requested, traces int, haveFactory bool) int {
 
 // CompareSuite replays every trace differentially — a spec-built
 // emulator versus a factory-drawn oracle — across a pool of `workers`
-// goroutines, returning reports in suite order. It is one alignment
-// round's comparison phase, exported for the speedup benchmark and for
-// callers that want bulk differential replay without the repair loop.
-func CompareSuite(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, workers int) ([]trace.Report, error) {
-	return CompareSuiteResilient(svc, factory, traces, workers, nil, nil)
-}
-
-// CompareSuiteResilient is CompareSuite with a retry policy applied
-// to every worker's oracle (nil policy = no retries) and an optional
-// counters sink for retry/fault totals. The chaos benchmark and the
-// degraded-mode tests use it to replay suites against flaky oracles.
-func CompareSuiteResilient(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *metrics.AlignCounters) ([]trace.Report, error) {
-	return CompareSuiteObserved(svc, factory, traces, workers, policy, counters, nil)
-}
-
-// CompareSuiteObserved is CompareSuiteResilient under an
-// observability stack: each comparison gets a root span keyed by its
-// trace index, with per-call child spans and fault/retry events, and
-// per-op latencies land in the registry. A nil obs is exactly
-// CompareSuiteResilient.
-func CompareSuiteObserved(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *metrics.AlignCounters, obs *obsv.Obs) ([]trace.Report, error) {
+// goroutines, returning reports in suite order together with the
+// run's comparison, retry and transient-fault totals. It is one
+// alignment round's comparison phase, exported for the speedup and
+// chaos benchmarks and for callers that want bulk differential replay
+// without the repair loop. A non-nil policy wraps every worker's
+// oracle in the resilient client; a non-nil obs roots one span per
+// comparison, keyed by trace index, with per-call child spans and
+// fault/retry events, and records per-op latencies in its registry.
+func CompareSuite(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, obs *obsv.Obs) ([]trace.Report, Stats, error) {
 	if factory == nil {
-		return nil, fmt.Errorf("align: nil backend factory")
+		return nil, Stats{}, errNilFactory
 	}
-	if counters == nil {
-		counters = &metrics.AlignCounters{}
-	}
-	workers = poolSize(workers, len(traces), true)
+	counters := &Counters{}
 	epoch := obs.TracerOrNil().NextEpoch()
-	reports, _, err := compareRound(svc, nil, factory, traces, workers, policy, counters, epoch, 0, obs, "")
-	return reports, err
+	reports, _, err := compareRound(svc, factory, traces, poolSize(workers, len(traces)), policy, counters, epoch, 0, obs)
+	return reports, counters.Snapshot(), err
 }
 
 // compareRound runs the comparison phase of one round and returns the
 // per-trace reports in trace order plus the first worker's emulator
 // (the round's representative Final). Worker w owns emus[w] and its
 // own oracle for the whole phase; the spec is shared read-only. The
-// first emulator is built (and, unless interpMode is interp.ModeWalk,
-// compiled — repairs mutate the spec, so every round recompiles) up
-// front because spec indexing mutates the service's lookup maps;
-// remaining workers fork it, sharing the immutable compiled program so
-// the spec is lowered once per round, not once per worker. A non-nil
-// retry policy wraps each worker's oracle in a resilient client
-// (derived jitter seed per worker) so transient oracle faults are
-// retried inside the worker instead of surfacing as divergences. A
-// non-nil obs roots one span per comparison, keyed by (epoch, round,
-// index) so trace IDs never depend on which worker drew which trace.
-func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *metrics.AlignCounters, epoch int64, round int, obs *obsv.Obs, interpMode string) ([]trace.Report, *interp.Emulator, error) {
+// first emulator is built and compiled (repairs mutate the spec, so
+// every round recompiles) up front because spec indexing mutates the
+// service's lookup maps; remaining workers fork it, sharing the
+// immutable compiled program so the spec is lowered once per round,
+// not once per worker. A non-nil retry policy wraps each worker's
+// oracle in a resilient client (derived jitter seed per worker) so
+// transient oracle faults are retried inside the worker instead of
+// surfacing as divergences. A non-nil obs roots one span per
+// comparison, keyed by (epoch, round, index) so trace IDs never depend
+// on which worker drew which trace.
+func compareRound(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *Counters, epoch int64, round int, obs *obsv.Obs) ([]trace.Report, *interp.Emulator, error) {
 	emus := make([]*interp.Emulator, workers)
 	oracles := make([]cloudapi.Backend, workers)
-	base, err := interp.NewMode(svc, interpMode)
+	base, err := interp.NewCompiled(svc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("align: emulator rebuild failed: %w", err)
 	}
@@ -364,11 +338,7 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 		} else {
 			emus[w] = base.Fork().(*interp.Emulator)
 		}
-		if factory != nil {
-			oracles[w] = factory()
-		} else {
-			oracles[w] = oracle
-		}
+		oracles[w] = factory()
 		if policy != nil {
 			p := *policy
 			p.Seed = policy.Seed ^ int64(w+1)*0x9E3779B9
@@ -398,22 +368,17 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 		}
 	}
 
+	// Without a tracer the root span is nil, every span call below is a
+	// no-op, and ctx carries no span, so the comparison is untraced.
+	tracer := obs.TracerOrNil()
 	compare := func(emu *interp.Emulator, ora cloudapi.Backend, i int) trace.Report {
-		tracer := obs.TracerOrNil()
-		if tracer == nil {
-			// Nil-tracer fast path: exactly the untraced comparison.
-			rep := trace.CompareIndexed(emu, ora, i, traces[i])
-			counters.TraceCompared(!rep.Aligned())
-			countDivergence(rep.FirstDiff())
-			return rep
-		}
 		ctx := obs.Context(context.Background())
 		ctx, root := tracer.StartRootKeyed(ctx, obsv.SpanAlignTrace, rootKey(epoch, round, i))
 		root.SetAttr("service", svc.Name)
 		root.SetAttr("trace", traces[i].Name)
 		root.SetAttrInt("index", int64(i))
 		root.SetAttrInt("round", int64(round))
-		rep := trace.CompareIndexedTraced(ctx, emu, ora, i, traces[i])
+		rep := trace.CompareIndexed(ctx, emu, ora, i, traces[i])
 		counters.TraceCompared(!rep.Aligned())
 		if d := rep.FirstDiff(); d != nil {
 			root.SetAttr("aligned", "false")

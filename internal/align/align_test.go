@@ -18,9 +18,8 @@ func TestAlignmentConvergesEC2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := ec2.New()
 	seeds := append(scenarios.EC2Fig3(), scenarios.EC2Extended()...)
-	res, err := Run(svc, brief, oracle, seeds, Options{GenerateViolations: true})
+	res, err := Run(svc, brief, ec2.Factory(), seeds, Options{GenerateViolations: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -56,7 +55,7 @@ func TestAlignmentConvergesAzure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(svc, brief, azure.New(), scenarios.AzureFig3(), Options{GenerateViolations: true})
+	res, err := Run(svc, brief, azure.Factory(), scenarios.AzureFig3(), Options{GenerateViolations: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -72,7 +71,7 @@ func TestAlignmentIsNoOpOnPerfectSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(svc, brief, ec2.New(), scenarios.EC2Fig3(), Options{GenerateViolations: true})
+	res, err := Run(svc, brief, ec2.Factory(), scenarios.EC2Fig3(), Options{GenerateViolations: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestAlignmentAdoptsCloudCode(t *testing.T) {
 			{Action: "CreateVpc", Params: map[string]trace.Arg{"cidrBlock": trace.S("10.0.0.0/8")}},
 		},
 	}
-	res, err := Run(svc, brief, ec2.New(), []trace.Trace{staleTrace}, Options{})
+	res, err := Run(svc, brief, ec2.Factory(), []trace.Trace{staleTrace}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func BenchmarkCompareSuite(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := CompareSuite(svc, ec2.Factory(), traces, workers); err != nil {
+				if _, _, err := CompareSuite(svc, ec2.Factory(), traces, workers, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -49,7 +49,7 @@ func BenchmarkRunParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				res, err := RunFactory(svc, corpus.EC2(), ec2.Factory(), seeds, Options{GenerateViolations: true, Workers: workers})
+				res, err := Run(svc, corpus.EC2(), ec2.Factory(), seeds, Options{GenerateViolations: true, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

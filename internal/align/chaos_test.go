@@ -9,7 +9,6 @@ import (
 	"lce/internal/cloudapi"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
-	"lce/internal/metrics"
 	"lce/internal/retry"
 	"lce/internal/scenarios"
 	"lce/internal/spec"
@@ -63,15 +62,14 @@ func TestChaosWithRetriesIsByteIdenticalToFaultFree(t *testing.T) {
 	for _, c := range chaosCases(t) {
 		for _, workers := range []int{1, 4} {
 			svc := perfectSpec(t, c.service)
-			clean, err := CompareSuite(svc, c.factory, c.suite, workers)
+			clean, _, err := CompareSuite(svc, c.factory, c.suite, workers, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			svc = perfectSpec(t, c.service)
-			counters := &metrics.AlignCounters{}
 			flaky := fault.Factory(c.factory, fault.Uniform(0.10, 1234))
-			chaotic, err := CompareSuiteResilient(svc, flaky, c.suite, workers, retryPolicy(1234), counters)
+			chaotic, stats, err := CompareSuite(svc, flaky, c.suite, workers, retryPolicy(1234), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,9 +88,11 @@ func TestChaosWithRetriesIsByteIdenticalToFaultFree(t *testing.T) {
 					t.Errorf("%s@%dw: divergence under chaos+retry: %s", c.service, workers, trace.FormatReport(rep))
 				}
 			}
-			stats := counters.Snapshot()
 			if stats.TransientFaults == 0 || stats.Retries == 0 {
 				t.Errorf("%s@%dw: chaos at 10%% injected no faults (stats: %s) — the test is vacuous", c.service, workers, stats)
+			}
+			if stats.TracesCompared != int64(len(c.suite)) || stats.Divergent != 0 {
+				t.Errorf("%s@%dw: stats %s, want %d comparisons and none divergent", c.service, workers, stats, len(c.suite))
 			}
 		}
 	}
@@ -105,7 +105,7 @@ func TestChaosWithoutRetriesClassifiesExhaustedTransient(t *testing.T) {
 	for _, c := range chaosCases(t) {
 		svc := perfectSpec(t, c.service)
 		flaky := fault.Factory(c.factory, fault.Uniform(0.10, 99))
-		reports, err := CompareSuite(svc, flaky, c.suite, 4)
+		reports, _, err := CompareSuite(svc, flaky, c.suite, 4, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,12 +144,12 @@ func TestAlignRunUnderChaosMatchesFaultFree(t *testing.T) {
 		return svc
 	}
 
-	clean, err := RunFactory(synthRun(), brief, ec2.Factory(), suite, Options{Workers: 4})
+	clean, err := Run(synthRun(), brief, ec2.Factory(), suite, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	flaky := fault.Factory(ec2.Factory(), fault.Uniform(0.10, 7))
-	chaotic, err := RunFactory(synthRun(), brief, flaky, suite, Options{Workers: 4, Retry: retryPolicy(7)})
+	chaotic, err := Run(synthRun(), brief, flaky, suite, Options{Workers: 4, Retry: retryPolicy(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestChaosWithoutRetriesNeverRepairsFromFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky := fault.Factory(ec2.Factory(), fault.Uniform(0.10, 5))
-	res, err := RunFactory(svc, brief, flaky, scenarios.EC2Fig3(), Options{Workers: 4})
+	res, err := Run(svc, brief, flaky, scenarios.EC2Fig3(), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package metrics
+package align
 
 import (
 	"fmt"
@@ -7,14 +7,14 @@ import (
 	"lce/internal/obsv"
 )
 
-// AlignCounters aggregates per-run alignment statistics. The parallel
+// Counters aggregates per-run alignment statistics. The parallel
 // alignment engine's worker goroutines bump TracesCompared/Divergent
 // concurrently — and, when the oracle is wrapped in a retry layer,
 // Retries/TransientFaults too — so the counters are atomic; the
 // repair phase (which is single-goroutine) bumps Rounds/Repairs
-// through the same interface for uniformity. A zero AlignCounters is
+// through the same interface for uniformity. A zero Counters is
 // ready to use. It implements retry.Observer.
-type AlignCounters struct {
+type Counters struct {
 	tracesCompared  atomic.Int64
 	divergent       atomic.Int64
 	repairs         atomic.Int64
@@ -25,7 +25,7 @@ type AlignCounters struct {
 
 // TraceCompared records one differential trace comparison and whether
 // it diverged. Safe for concurrent use.
-func (c *AlignCounters) TraceCompared(diverged bool) {
+func (c *Counters) TraceCompared(diverged bool) {
 	c.tracesCompared.Add(1)
 	if diverged {
 		c.divergent.Add(1)
@@ -33,27 +33,27 @@ func (c *AlignCounters) TraceCompared(diverged bool) {
 }
 
 // RepairsApplied records n repairs applied in the current round.
-func (c *AlignCounters) RepairsApplied(n int) { c.repairs.Add(int64(n)) }
+func (c *Counters) RepairsApplied(n int) { c.repairs.Add(int64(n)) }
 
 // RoundFinished records one completed alignment round.
-func (c *AlignCounters) RoundFinished() { c.rounds.Add(1) }
+func (c *Counters) RoundFinished() { c.rounds.Add(1) }
 
 // RecordRetry records one retry attempt against a flaky oracle
 // (retry.Observer). Safe for concurrent use.
-func (c *AlignCounters) RecordRetry() { c.retries.Add(1) }
+func (c *Counters) RecordRetry() { c.retries.Add(1) }
 
 // RecordTransientFault records one transient infrastructure fault
 // observed from the oracle, retried or not (retry.Observer). Safe for
 // concurrent use.
-func (c *AlignCounters) RecordTransientFault() { c.transientFaults.Add(1) }
+func (c *Counters) RecordTransientFault() { c.transientFaults.Add(1) }
 
 // Snapshot returns the current totals as a plain value. Comparison
 // totals are deterministic for a given workload regardless of worker
 // count or interleaving: every comparison is counted exactly once.
 // (Retries/TransientFaults depend on the chaos seed in play, not on
 // worker count per se, but vary with the fault stream.)
-func (c *AlignCounters) Snapshot() AlignStats {
-	return AlignStats{
+func (c *Counters) Snapshot() Stats {
+	return Stats{
 		TracesCompared:  c.tracesCompared.Load(),
 		Divergent:       c.divergent.Load(),
 		Repairs:         c.repairs.Load(),
@@ -64,10 +64,10 @@ func (c *AlignCounters) Snapshot() AlignStats {
 }
 
 // String renders a one-line summary of the current totals.
-func (c *AlignCounters) String() string { return c.Snapshot().String() }
+func (c *Counters) String() string { return c.Snapshot().String() }
 
-// AlignStats is a point-in-time snapshot of AlignCounters.
-type AlignStats struct {
+// Stats is a point-in-time snapshot of Counters.
+type Stats struct {
 	// TracesCompared counts differential trace comparisons across all
 	// rounds (each trace is re-compared every round).
 	TracesCompared int64
@@ -91,7 +91,7 @@ type AlignStats struct {
 // Prometheus-exposed registry. Counters only go up, so publishing a
 // snapshot adds the delta since the last publish would — callers
 // publish once per run (a nil registry is a no-op).
-func (s AlignStats) PublishTo(r *obsv.Registry) {
+func (s Stats) PublishTo(r *obsv.Registry) {
 	if r == nil {
 		return
 	}
@@ -111,7 +111,7 @@ func (s AlignStats) PublishTo(r *obsv.Registry) {
 
 // String renders a one-line summary, e.g.
 // "120 comparisons (3 divergent), 2 repairs over 4 rounds, 17 retries on 19 transient faults".
-func (s AlignStats) String() string {
+func (s Stats) String() string {
 	return fmt.Sprintf("%d comparisons (%d divergent), %d repairs over %d rounds, %d retries on %d transient faults",
 		s.TracesCompared, s.Divergent, s.Repairs, s.Rounds, s.Retries, s.TransientFaults)
 }

@@ -1,4 +1,4 @@
-package metrics
+package align
 
 import (
 	"strings"
@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-func TestAlignCountersConcurrent(t *testing.T) {
-	var c AlignCounters
+func TestCountersConcurrent(t *testing.T) {
+	var c Counters
 	const goroutines = 16
 	const perG = 1000
 
@@ -32,7 +32,7 @@ func TestAlignCountersConcurrent(t *testing.T) {
 	c.RoundFinished()
 
 	got := c.Snapshot()
-	want := AlignStats{
+	want := Stats{
 		TracesCompared:  goroutines * perG,
 		Divergent:       goroutines * perG / 4,
 		Repairs:         3,
@@ -45,8 +45,8 @@ func TestAlignCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestAlignStatsString(t *testing.T) {
-	var c AlignCounters
+func TestStatsString(t *testing.T) {
+	var c Counters
 	c.TraceCompared(true)
 	c.TraceCompared(false)
 	c.RecordTransientFault()

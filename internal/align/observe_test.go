@@ -7,7 +7,6 @@ import (
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
-	"lce/internal/metrics"
 	"lce/internal/obsv"
 	"lce/internal/scenarios"
 	"lce/internal/synth"
@@ -25,7 +24,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunFactory(svc, brief, ec2.Factory(), suite, Options{Workers: 4, Obs: obs})
+		res, err := Run(svc, brief, ec2.Factory(), suite, Options{Workers: 4, Obs: obs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +87,7 @@ func TestTraceIDsIgnoreWorkerCount(t *testing.T) {
 	ids := func(workers int) map[string]string {
 		svc := perfectSpec(t, "ec2")
 		obs := obsv.New(7, 0)
-		if _, err := CompareSuiteObserved(svc, ec2.Factory(), suite, workers, nil, nil, obs); err != nil {
+		if _, _, err := CompareSuite(svc, ec2.Factory(), suite, workers, nil, obs); err != nil {
 			t.Fatal(err)
 		}
 		out := map[string]string{}
@@ -116,9 +115,8 @@ func TestChaosTraceIsComplete(t *testing.T) {
 	suite := scenarios.EC2Fig3()
 	svc := perfectSpec(t, "ec2")
 	obs := obsv.New(99, 0)
-	counters := &metrics.AlignCounters{}
 	flaky := fault.Factory(ec2.Factory(), fault.Uniform(0.10, 99))
-	reports, err := CompareSuiteObserved(svc, flaky, suite, 4, nil, counters, obs)
+	reports, stats, err := CompareSuite(svc, flaky, suite, 4, nil, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +185,8 @@ func TestChaosTraceIsComplete(t *testing.T) {
 	if injectedEvents == 0 {
 		t.Error("no fault.injected events recorded")
 	}
-	if counters.Snapshot().TracesCompared != int64(len(suite)) {
-		t.Errorf("counters saw %d comparisons, want %d", counters.Snapshot().TracesCompared, len(suite))
+	if stats.TracesCompared != int64(len(suite)) {
+		t.Errorf("stats saw %d comparisons, want %d", stats.TracesCompared, len(suite))
 	}
 }
 
@@ -212,7 +210,7 @@ func BenchmarkCompareSuiteObserved(b *testing.B) {
 			factory := ec2.Factory()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := CompareSuiteObserved(svc, factory, suite, 1, nil, nil, bc.obs); err != nil {
+				if _, _, err := CompareSuite(svc, factory, suite, 1, nil, bc.obs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -67,12 +67,12 @@ func assertIdenticalResults(t *testing.T, serial, parallel *Result) {
 func TestParallelDeterminismEC2(t *testing.T) {
 	seeds := append(scenarios.EC2Fig3(), scenarios.EC2Extended()...)
 
-	serial, err := Run(synthPreliminary(t, "ec2"), corpus.EC2(), ec2.New(), seeds,
+	serial, err := Run(synthPreliminary(t, "ec2"), corpus.EC2(), ec2.Factory(), seeds,
 		Options{GenerateViolations: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunFactory(synthPreliminary(t, "ec2"), corpus.EC2(), ec2.Factory(), seeds,
+	parallel, err := Run(synthPreliminary(t, "ec2"), corpus.EC2(), ec2.Factory(), seeds,
 		Options{GenerateViolations: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -84,16 +84,16 @@ func TestParallelDeterminismEC2(t *testing.T) {
 }
 
 // TestParallelDeterminismDynamoDB repeats the guarantee on the second
-// seed suite, through the Forker-derived factory path.
+// seed suite.
 func TestParallelDeterminismDynamoDB(t *testing.T) {
 	seeds := scenarios.DynamoDB()
 
-	serial, err := Run(synthPreliminary(t, "dynamodb"), corpus.DynamoDB(), dynamodb.New(), seeds,
+	serial, err := Run(synthPreliminary(t, "dynamodb"), corpus.DynamoDB(), dynamodb.Factory(), seeds,
 		Options{GenerateViolations: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(synthPreliminary(t, "dynamodb"), corpus.DynamoDB(), dynamodb.New(), seeds,
+	parallel, err := Run(synthPreliminary(t, "dynamodb"), corpus.DynamoDB(), dynamodb.Factory(), seeds,
 		Options{GenerateViolations: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestCompareSuiteOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces := append(scenarios.EC2Fig3(), scenarios.EC2Extended()...)
-	reports, err := CompareSuite(svc, ec2.Factory(), traces, 8)
+	reports, _, err := CompareSuite(svc, ec2.Factory(), traces, 8, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,22 +128,35 @@ func TestCompareSuiteOrdering(t *testing.T) {
 }
 
 // TestPoolSizeFallbacks pins the worker-resolution rules: clamp to the
-// trace count, force serial without a factory, floor at 1.
+// trace count, floor at 1.
 func TestPoolSizeFallbacks(t *testing.T) {
 	cases := []struct {
-		requested, traces int
-		haveFactory       bool
-		want              int
+		requested, traces, want int
 	}{
-		{8, 3, true, 3},
-		{8, 100, false, 1},
-		{0, 1, true, 1},
-		{1, 50, true, 1},
-		{2, 50, true, 2},
+		{8, 3, 3},
+		{0, 1, 1},
+		{1, 50, 1},
+		{2, 50, 2},
+		{4, 0, 1},
 	}
 	for _, c := range cases {
-		if got := poolSize(c.requested, c.traces, c.haveFactory); got != c.want {
-			t.Errorf("poolSize(%d, %d, %v) = %d, want %d", c.requested, c.traces, c.haveFactory, got, c.want)
+		if got := poolSize(c.requested, c.traces); got != c.want {
+			t.Errorf("poolSize(%d, %d) = %d, want %d", c.requested, c.traces, got, c.want)
 		}
+	}
+}
+
+// TestNilFactoryRejected: both engine entry points refuse a nil oracle
+// factory with an error instead of panicking in a worker.
+func TestNilFactoryRejected(t *testing.T) {
+	svc, _, err := synth.SynthesizeFromBrief(corpus.EC2(), synth.Options{Noise: synth.Perfect, Decoding: synth.Constrained})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Run(svc, corpus.EC2(), nil, scenarios.EC2Fig3(), Options{}); err == nil || res != nil {
+		t.Errorf("Run with nil factory = (%v, %v), want (nil, error)", res, err)
+	}
+	if reports, _, err := CompareSuite(svc, nil, scenarios.EC2Fig3(), 4, nil, nil); err == nil || reports != nil {
+		t.Errorf("CompareSuite with nil factory = (%d reports, %v), want error", len(reports), err)
 	}
 }

@@ -22,7 +22,6 @@ func TestAlignmentRecoversFromDegradedDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := ec2.New()
 	seeds := append(scenarios.EC2Fig3(), scenarios.EC2Extended()...)
 	// Sanity: the stale docs must actually cause wrong-code
 	// divergences before alignment.
@@ -36,7 +35,7 @@ func TestAlignmentRecoversFromDegradedDocs(t *testing.T) {
 	if preDiverged == 0 {
 		t.Fatal("degradation injected no stale codes")
 	}
-	res, err := Run(svc, stale, oracle, seeds, Options{GenerateViolations: true, MaxRounds: 64})
+	res, err := Run(svc, stale, ec2.Factory(), seeds, Options{GenerateViolations: true, MaxRounds: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestAlignmentRecoversFromUnderspecifiedDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(svc, under, ec2.New(), scenarios.EC2Fig3(), Options{GenerateViolations: true})
+	res, err := Run(svc, under, ec2.Factory(), scenarios.EC2Fig3(), Options{GenerateViolations: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func ChaosBenchObserved(workers, replicas int, seed int64, rates []float64, obs 
 }
 
 func chaosCell(svc *spec.Service, base cloudapi.BackendFactory, traces []trace.Trace, workers int, rate float64, seed int64, obs *obsv.Obs) (ChaosRow, error) {
-	counters := &metrics.AlignCounters{}
+	counters := &align.Counters{}
 	recorder := &metrics.LatencyRecorder{}
 	policy := retry.DefaultPolicy()
 	policy.Seed = seed
@@ -125,7 +125,7 @@ func chaosCell(svc *spec.Service, base cloudapi.BackendFactory, traces []trace.T
 	}
 
 	start := time.Now()
-	reports, err := align.CompareSuiteObserved(svc, factory, traces, workers, nil, nil, obs)
+	reports, _, err := align.CompareSuite(svc, factory, traces, workers, nil, obs)
 	if err != nil {
 		return ChaosRow{}, err
 	}

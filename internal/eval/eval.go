@@ -117,7 +117,7 @@ func Fig3Systems() (map[string]cloudapi.Backend, error) {
 		return nil, err
 	}
 	seeds := append(scenarios.EC2Fig3(), scenarios.EC2Extended()...)
-	res, err := align.Run(alignedSvc, brief, ec2.New(), seeds, align.Options{GenerateViolations: true})
+	res, err := align.Run(alignedSvc, brief, ec2.Factory(), seeds, align.Options{GenerateViolations: true})
 	if err != nil {
 		return nil, fmt.Errorf("eval: alignment: %w", err)
 	}
@@ -403,7 +403,7 @@ func MultiCloud() ([]SystemAccuracy, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := align.Run(alignedSvc, brief, azure.New(), traces, align.Options{GenerateViolations: true})
+	res, err := align.Run(alignedSvc, brief, azure.Factory(), traces, align.Options{GenerateViolations: true})
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func AlignmentConvergence() ([]ConvergenceRow, error) {
 		return nil, err
 	}
 	seeds := append(scenarios.EC2Fig3(), scenarios.EC2Extended()...)
-	res, err := align.Run(svc, brief, ec2.New(), seeds, align.Options{GenerateViolations: true})
+	res, err := align.Run(svc, brief, ec2.Factory(), seeds, align.Options{GenerateViolations: true})
 	if err != nil {
 		return nil, err
 	}

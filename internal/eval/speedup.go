@@ -134,7 +134,7 @@ func timeCompare(svc *spec.Service, factory cloudapi.BackendFactory, traces []tr
 	best := time.Duration(0)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		if _, err := align.CompareSuite(svc, factory, traces, workers); err != nil {
+		if _, _, err := align.CompareSuite(svc, factory, traces, workers, nil, nil); err != nil {
 			return 0, err
 		}
 		elapsed := time.Since(start)

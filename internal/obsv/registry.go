@@ -14,8 +14,8 @@ import (
 // Registry is a typed metrics registry: counters, gauges, and
 // fixed-bucket histograms, identified by name plus label pairs, and
 // exposed in Prometheus text format. It supersedes the ad-hoc
-// counter structs that predate it (metrics.AlignCounters publishes
-// its snapshot into a Registry; see metrics.AlignStats.PublishTo).
+// counter structs that predate it (align.Counters publishes its
+// snapshot into a Registry; see align.Stats.PublishTo).
 //
 // Instruments are created on first use and memoized, so hot paths
 // should hold the returned instrument rather than re-looking it up

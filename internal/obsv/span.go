@@ -355,7 +355,12 @@ func (s *Span) SetAttr(k, v string) {
 }
 
 // SetAttrInt sets one integer attribute.
-func (s *Span) SetAttrInt(k string, v int64) { s.SetAttr(k, fmt.Sprintf("%d", v)) }
+func (s *Span) SetAttrInt(k string, v int64) {
+	if s == nil {
+		return
+	}
+	s.SetAttr(k, fmt.Sprintf("%d", v))
+}
 
 // SetError marks the span failed with a status message (an API error
 // code, an HTTP status). The last call wins.

@@ -127,8 +127,7 @@ func (p Policy) Schedule(failures int) []time.Duration {
 	return out
 }
 
-// Observer receives retry-loop events; *metrics.AlignCounters
-// implements it.
+// Observer receives retry-loop events; *align.Counters implements it.
 type Observer interface {
 	// RecordRetry is called before each retry attempt is made.
 	RecordRetry()

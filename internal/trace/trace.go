@@ -74,10 +74,10 @@ type Outcome struct {
 // returns per-step outcomes. Binding resolution failures surface as
 // Broken outcomes.
 func Run(b cloudapi.Backend, tr Trace) []Outcome {
-	return RunTraced(context.Background(), b, tr, "")
+	return runTraced(context.Background(), b, tr, "")
 }
 
-// RunTraced is Run with observability: when ctx carries a span
+// runTraced is Run with observability: when ctx carries a span
 // (obsv.SpanFrom), the replay opens a "replay.<role>" phase span and
 // one "call.<Action>" span per step — error status set from the
 // outcome — and records per-op durations into the registry carried by
@@ -85,7 +85,7 @@ func Run(b cloudapi.Backend, tr Trace) []Outcome {
 // on Request.Ctx so wrapper layers (retry, fault) can annotate the
 // call span. With no span in ctx this is exactly Run: a nil-check per
 // step and nothing else, so outcomes are identical either way.
-func RunTraced(ctx context.Context, b cloudapi.Backend, tr Trace, role string) []Outcome {
+func runTraced(ctx context.Context, b cloudapi.Backend, tr Trace, role string) []Outcome {
 	traced := obsv.SpanFrom(ctx) != nil
 	var reg *obsv.Registry
 	var phase *obsv.Span
@@ -242,24 +242,19 @@ func (r Report) FirstDiff() *StepDiff {
 // payloads are compared structurally (messages only need non-emptiness
 // on both sides).
 func Compare(subject, oracle cloudapi.Backend, tr Trace) Report {
-	return CompareIndexed(subject, oracle, 0, tr)
+	return CompareIndexed(context.Background(), subject, oracle, 0, tr)
 }
 
 // CompareIndexed is Compare for a trace that sits at position idx in a
 // suite; the index is carried on the report so out-of-order (parallel)
-// comparison results can be merged back into suite order.
-func CompareIndexed(subject, oracle cloudapi.Backend, idx int, tr Trace) Report {
-	return CompareIndexedTraced(context.Background(), subject, oracle, idx, tr)
-}
-
-// CompareIndexedTraced is CompareIndexed under an observability
-// context: both replays nest under the span carried by ctx (the
-// alignment engine's per-trace root), giving the full taxonomy
-// align.trace → replay.{emulator,oracle} → call.<Action>. The report
-// is identical to an untraced comparison's — tracing only records.
-func CompareIndexedTraced(ctx context.Context, subject, oracle cloudapi.Backend, idx int, tr Trace) Report {
-	sub := RunTraced(ctx, subject, tr, "emulator")
-	ora := RunTraced(ctx, oracle, tr, "oracle")
+// comparison results can be merged back into suite order. When ctx
+// carries a span (the alignment engine's per-trace root), both replays
+// nest under it, giving the full taxonomy align.trace →
+// replay.{emulator,oracle} → call.<Action>. The report is identical
+// with or without a span in ctx — tracing only records.
+func CompareIndexed(ctx context.Context, subject, oracle cloudapi.Backend, idx int, tr Trace) Report {
+	sub := runTraced(ctx, subject, tr, "emulator")
+	ora := runTraced(ctx, oracle, tr, "oracle")
 	rep := Report{TraceIndex: idx, Trace: tr, Subject: sub, Oracle: ora}
 	for i := range tr.Steps {
 		d := diffStep(i, tr.Steps[i].Action, &sub[i], &ora[i])

@@ -4,10 +4,12 @@
 //
 // The package wires together the full workflow the paper describes:
 //
-//	corpus := lce.Documentation("ec2")       // provider documentation (rendered text)
-//	emu, report, err := lce.Learn(corpus, lce.DefaultOptions()) // docs → SM spec → emulator
-//	res, err := lce.AlignWithCloud(emu, ...) // close the loop against the cloud
-//	http.ListenAndServe(addr, lce.Serve(emu))
+//	opts := lce.DefaultOptions()
+//	corpus, err := lce.Documentation("ec2")               // provider documentation (rendered text)
+//	emu, report, err := lce.Learn(corpus, opts)           // docs → SM spec → emulator
+//	res, err := lce.Align("ec2", opts, lce.AlignConfig{}) // close the loop against the cloud
+//	srv, err := lce.NewServer(lce.ServerConfig{Service: "ec2", Backend: "learned"})
+//	http.ListenAndServe(addr, srv.Handler)                // serve it over HTTP
 //
 // Everything underneath lives in internal/ packages: the SM spec
 // language and interpreter, the hand-written cloud oracles, the
@@ -20,7 +22,6 @@ package lce
 
 import (
 	"fmt"
-	"net/http"
 
 	"lce/internal/align"
 	"lce/internal/cloud/aws/dynamodb"
@@ -123,17 +124,27 @@ func CloudFactory(service string) (cloudapi.BackendFactory, error) {
 // service with learnable docs: "ec2", "dynamodb", "network-firewall",
 // or "azure-network".
 func Documentation(service string) (docs.Corpus, error) {
+	d, err := serviceDoc(service)
+	if err != nil {
+		return docs.Corpus{}, err
+	}
+	return docs.Render(d), nil
+}
+
+// serviceDoc returns the structured documentation model a service's
+// corpus renders from; alignment synthesizes and repairs against it.
+func serviceDoc(service string) (*docs.ServiceDoc, error) {
 	switch service {
 	case "ec2":
-		return docs.Render(corpus.EC2()), nil
+		return corpus.EC2(), nil
 	case "dynamodb":
-		return docs.Render(corpus.DynamoDB()), nil
+		return corpus.DynamoDB(), nil
 	case "network-firewall":
-		return docs.Render(corpus.NetworkFirewall()), nil
+		return corpus.NetworkFirewall(), nil
 	case "azure-network":
-		return docs.Render(corpus.Azure()), nil
+		return corpus.Azure(), nil
 	default:
-		return docs.Corpus{}, fmt.Errorf("lce: no documentation corpus for %q", service)
+		return nil, fmt.Errorf("lce: no documentation corpus for %q", service)
 	}
 }
 
@@ -144,7 +155,7 @@ type LearnReport = synth.Report
 // wrangling, dependency-ordered incremental extraction, specification
 // linking, consistency checking, compilation to pre-resolved closures.
 // The emulator comes back in the default compiled dispatch mode;
-// NewBackendInterp("…", "learned", …, "walk") gets the tree-walker.
+// ServerConfig.Interp "walk" serves the tree-walker instead.
 func Learn(c docs.Corpus, opts Options) (*Emulator, *LearnReport, error) {
 	svc, rep, err := synth.Synthesize(c, opts)
 	if err != nil {
@@ -179,7 +190,7 @@ func UniformFaults(rate float64, seed int64) FaultConfig { return fault.Uniform(
 func DefaultRetryPolicy() RetryPolicy { return retry.DefaultPolicy() }
 
 // Chaos wraps any backend with deterministic fault injection — the
-// flaky-cloud simulator. Compose with Serve to run a server that
+// flaky-cloud simulator. ServerConfig.Chaos runs a whole server that
 // throttles and fails like the real thing.
 func Chaos(b Backend, cfg FaultConfig) Backend { return fault.Wrap(b, cfg) }
 
@@ -215,68 +226,47 @@ func DivergenceTraces(ob *Obs) []DivergenceRef {
 // AlignResult is the outcome of the alignment loop.
 type AlignResult = align.Result
 
-// AlignWithCloud runs the automated alignment loop (§4.3) for a
-// service: synthesize under opts, then iteratively repair against the
-// oracle using the standard trace suites plus symbolically derived
+// AlignConfig tunes Align. The zero value aligns against the
+// fault-free cloud with GOMAXPROCS comparison workers, no retries and
+// no observability.
+type AlignConfig struct {
+	// Workers sizes the comparison worker pool: 0 uses GOMAXPROCS, 1
+	// forces the serial engine. On a fault-free cloud every setting
+	// produces an identical AlignResult; workers only change wall-clock
+	// time. On a flaky cloud each worker owns its own fault stream and
+	// traces reach the workers in scheduling order. With Retry set the
+	// rounds, repairs and convergence are still identical, but the
+	// Stats retry and transient-fault tallies vary. With Retry nil the
+	// rounds themselves vary. Only Workers 1 reproduces a flaky run
+	// exactly.
+	Workers int
+	// Faults, when non-nil, wraps every oracle instance in the chaos
+	// layer.
+	Faults *FaultConfig
+	// Retry, when non-nil, puts the resilient client between each
+	// comparison worker and its oracle. With a policy whose
+	// MaxAttempts exceeds the injector's consecutive-fault cap, the
+	// rounds, repairs and convergence are identical to the fault-free
+	// run — retries absorb every injected fault; without one, injected
+	// faults surface as
+	// exhausted-transient divergences (never semantic ones, and never
+	// spec repairs).
+	Retry *RetryPolicy
+	// Obs, when non-nil, records the run: every comparison gets a root
+	// span with nested replay and per-call spans, injected faults and
+	// retries become span events (DivergenceTraces finds every
+	// divergence by trace ID), per-op latency histograms land in the
+	// registry, and run counters are published as lce_align_* metrics.
+	// The AlignResult is byte-identical to the unobserved run.
+	Obs *Obs
+}
+
+// Align runs the automated alignment loop (§4.3) for a service:
+// synthesize under opts, then iteratively repair against the oracle
+// using the standard trace suites plus symbolically derived
 // single-violation traces. It returns the aligned emulator.
-func AlignWithCloud(service string, opts Options) (*AlignResult, error) {
-	return AlignWithCloudWorkers(service, opts, 0)
-}
-
-// AlignWithCloudWorkers is AlignWithCloud with an explicit comparison
-// worker-pool size: 1 forces the serial engine, 0 uses GOMAXPROCS.
-// Every setting produces an identical AlignResult; workers only change
-// wall-clock time.
-func AlignWithCloudWorkers(service string, opts Options, workers int) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, nil, nil, nil, "")
-}
-
-// AlignWithCloudObserved is AlignWithCloudWorkers under an
-// observability stack: every comparison records a root span with
-// nested replay and per-call spans, per-op latency histograms land in
-// the registry, and run counters are published as lce_align_* metrics.
-// The AlignResult is byte-identical to the unobserved run.
-func AlignWithCloudObserved(service string, opts Options, workers int, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, nil, nil, ob, "")
-}
-
-// AlignWithCloudInterp is AlignWithCloudObserved with an explicit
-// comparison-phase interpreter mode: "" or "compiled" lower the spec
-// to closures (recompiled every round, since repairs mutate it),
-// "walk" forces the reference tree-walker. The AlignResult is
-// identical either way — the modes answer byte-identically.
-func AlignWithCloudInterp(service string, opts Options, workers int, interpMode string, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, nil, nil, ob, interpMode)
-}
-
-// AlignWithFlakyCloud is AlignWithCloudWorkers against a degraded
-// cloud: the oracle is wrapped in the chaos layer (cfg) and, when
-// policy is non-nil, every comparison worker talks to it through the
-// resilient client. With a policy whose MaxAttempts exceeds the
-// injector's consecutive-fault cap, the result is identical to the
-// fault-free run — retries absorb every injected fault; without a
-// policy, injected faults surface as exhausted-transient divergences
-// (never semantic ones, and never spec repairs).
-func AlignWithFlakyCloud(service string, opts Options, workers int, cfg FaultConfig, policy *RetryPolicy) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, &cfg, policy, nil, "")
-}
-
-// AlignWithFlakyCloudObserved is AlignWithFlakyCloud under an
-// observability stack: injected faults and the retries they triggered
-// appear as events on the comparison spans, so every divergence in the
-// result is findable by trace ID (DivergenceTraces).
-func AlignWithFlakyCloudObserved(service string, opts Options, workers int, cfg FaultConfig, policy *RetryPolicy, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, &cfg, policy, ob, "")
-}
-
-// AlignWithFlakyCloudInterp is AlignWithFlakyCloudObserved with an
-// explicit comparison-phase interpreter mode (see AlignWithCloudInterp).
-func AlignWithFlakyCloudInterp(service string, opts Options, workers int, cfg FaultConfig, policy *RetryPolicy, interpMode string, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, &cfg, policy, ob, interpMode)
-}
-
-func alignWithCloud(service string, opts Options, workers int, cfg *FaultConfig, policy *RetryPolicy, ob *Obs, interpMode string) (*AlignResult, error) {
-	c, err := Documentation(service)
+func Align(service string, opts Options, cfg AlignConfig) (*AlignResult, error) {
+	brief, err := serviceDoc(service)
 	if err != nil {
 		return nil, err
 	}
@@ -284,36 +274,14 @@ func alignWithCloud(service string, opts Options, workers int, cfg *FaultConfig,
 	if err != nil {
 		return nil, err
 	}
-	if cfg != nil {
-		factory = fault.Factory(factory, *cfg)
+	if cfg.Faults != nil {
+		factory = fault.Factory(factory, *cfg.Faults)
 	}
-	brief, briefDoc := corpusBrief(service)
-	if brief == nil {
-		return nil, fmt.Errorf("lce: no brief for %q", service)
-	}
-	_ = c
 	svc, _, err := synth.SynthesizeFromBrief(brief, opts)
 	if err != nil {
 		return nil, err
 	}
-	return align.RunFactory(svc, briefDoc, factory, Scenarios(service), align.Options{GenerateViolations: true, Workers: workers, Retry: policy, Obs: ob, Interp: interpMode})
-}
-
-func corpusBrief(service string) (*docs.ServiceDoc, *docs.ServiceDoc) {
-	var d *docs.ServiceDoc
-	switch service {
-	case "ec2":
-		d = corpus.EC2()
-	case "dynamodb":
-		d = corpus.DynamoDB()
-	case "network-firewall":
-		d = corpus.NetworkFirewall()
-	case "azure-network":
-		d = corpus.Azure()
-	default:
-		return nil, nil
-	}
-	return d, d
+	return align.Run(svc, brief, factory, Scenarios(service), align.Options{GenerateViolations: true, Workers: cfg.Workers, Retry: cfg.Retry, Obs: cfg.Obs})
 }
 
 // Scenarios returns the standard trace suite for a service (the Fig. 3
@@ -339,20 +307,6 @@ func Compare(subject, oracle Backend, tr trace.Trace) trace.Report {
 	return trace.Compare(subject, oracle, tr)
 }
 
-// Serve exposes any backend over HTTP in the LocalStack style
-// (POST /invoke, POST /reset, GET /actions, GET /healthz).
-func Serve(b Backend) http.Handler {
-	return httpapi.New(b)
-}
-
-// ServeObserved is Serve under an observability stack: per-route
-// request/error counters and latency histograms, one root span per
-// request threaded into the backend call, plus GET /metrics
-// (Prometheus text) and GET /debug/traces (spans grouped by trace).
-func ServeObserved(b Backend, ob *Obs) http.Handler {
-	return httpapi.New(b, httpapi.WithObs(ob))
-}
-
 // Connect returns a Backend speaking to a served emulator over HTTP.
 func Connect(baseURL string) Backend {
 	return httpapi.NewClient(baseURL)
@@ -375,30 +329,12 @@ type BackendFactory = cloudapi.BackendFactory
 // and backs legacy headerless clients.
 type Pool = tenant.Pool
 
-// PoolConfig tunes a Pool: shard count, capacity, idle TTL, clock and
-// metrics registry. The zero value gives sane defaults.
-type PoolConfig = tenant.Config
-
-// NewPool builds a session registry over a backend factory.
-func NewPool(factory BackendFactory, cfg PoolConfig) (*Pool, error) {
-	return tenant.New(factory, cfg)
-}
-
-// ServePool exposes a multi-tenant server: legacy routes plus the /v2
-// surface (POST /v2/{service}?Action=..., session selection via the
-// X-LCE-Session header, session-scoped reset, POST /v2/{service}/batch,
-// GET /v2/sessions). ob may be nil for an unobserved server.
-func ServePool(b Backend, p *Pool, ob *Obs) http.Handler {
-	return httpapi.New(b, httpapi.WithPool(p), httpapi.WithObs(ob))
-}
-
 // DurableStore is the persistence tier: a deterministic binary
 // snapshot codec plus a CRC-framed write-ahead journal per session.
-// Mounted into a Pool (PoolConfig.Spill) it spills cold sessions to
-// disk on eviction and rehydrates them transparently on next touch;
-// pointed at a previous process's data directory it recovers every
-// session, lazily, through the same path. ServerConfig.DataDir wires
-// it through the whole stack.
+// Mounted into a Pool it spills cold sessions to disk on eviction and
+// rehydrates them transparently on next touch; pointed at a previous
+// process's data directory it recovers every session, lazily, through
+// the same path. ServerConfig.DataDir wires it through the whole stack.
 type DurableStore = durable.Store
 
 // DurableConfig tunes a DurableStore: data directory, fsync policy

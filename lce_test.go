@@ -38,7 +38,7 @@ func TestPublicAPICloudAndCompare(t *testing.T) {
 }
 
 func TestPublicAPIAlignWithCloud(t *testing.T) {
-	res, err := AlignWithCloud("azure-network", DefaultOptions())
+	res, err := Align("azure-network", DefaultOptions(), AlignConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +57,9 @@ func TestPublicAPIUnknownService(t *testing.T) {
 	if Scenarios("s3") != nil {
 		t.Error("unknown scenarios non-nil")
 	}
+	if res, err := Align("s3", DefaultOptions(), AlignConfig{}); err == nil || res != nil {
+		t.Errorf("unknown service aligned: (%v, %v)", res, err)
+	}
 }
 
 func TestPublicAPIDirectToCode(t *testing.T) {
@@ -74,13 +77,14 @@ func TestPublicAPIDirectToCode(t *testing.T) {
 // alignment against a fault-injecting oracle with the retry policy on
 // must match the fault-free run round for round.
 func TestPublicAPIFlakyCloud(t *testing.T) {
-	clean, err := AlignWithCloudWorkers("azure-network", DefaultOptions(), 4)
+	clean, err := Align("azure-network", DefaultOptions(), AlignConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	policy := DefaultRetryPolicy()
 	policy.BaseDelay, policy.Seed = 0, 42 // zero-delay retries keep the test fast
-	flaky, err := AlignWithFlakyCloud("azure-network", DefaultOptions(), 4, UniformFaults(0.1, 42), &policy)
+	faults := UniformFaults(0.1, 42)
+	flaky, err := Align("azure-network", DefaultOptions(), AlignConfig{Workers: 4, Faults: &faults, Retry: &policy})
 	if err != nil {
 		t.Fatal(err)
 	}

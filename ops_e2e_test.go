@@ -301,7 +301,8 @@ func TestOpsDivergenceCounterAndEvents(t *testing.T) {
 		}
 	}()
 
-	res, err := AlignWithFlakyCloudObserved("ec2", PerfectOptions(), 4, UniformFaults(0.10, 99), nil, ob)
+	faults := UniformFaults(0.10, 99)
+	res, err := Align("ec2", PerfectOptions(), AlignConfig{Workers: 4, Faults: &faults, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestOpsDivergenceCounterAndEvents(t *testing.T) {
 func TestOpsPlaneOffIdenticalResults(t *testing.T) {
 	cfg := UniformFaults(0.10, 5)
 	policy := &RetryPolicy{MaxAttempts: 4, Seed: 5}
-	plain, err := AlignWithFlakyCloud("ec2", PerfectOptions(), 4, cfg, policy)
+	plain, err := Align("ec2", PerfectOptions(), AlignConfig{Workers: 4, Faults: &cfg, Retry: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestOpsPlaneOffIdenticalResults(t *testing.T) {
 		}
 	}()
 	defer sub.Close()
-	instrumented, err := AlignWithFlakyCloudObserved("ec2", PerfectOptions(), 4, cfg, policy, ob)
+	instrumented, err := Align("ec2", PerfectOptions(), AlignConfig{Workers: 4, Faults: &cfg, Retry: policy, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}

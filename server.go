@@ -43,19 +43,19 @@ type SLOObjectives = opsplane.Objectives
 // partial baseline). The same (service, kind, noisy) triple always
 // yields a behaviourally identical instance — the property the
 // flight-recorder replay relies on. The learned backend runs in the
-// default (compiled) interpreter mode; NewBackendInterp selects it
+// default (compiled) interpreter mode; ServerConfig.Interp selects it
 // explicitly.
 func NewBackend(service, kind string, noisy bool) (Backend, error) {
-	return NewBackendInterp(service, kind, noisy, "")
+	return newBackendInterp(service, kind, noisy, "")
 }
 
-// NewBackendInterp is NewBackend with an explicit interpreter mode for
+// newBackendInterp is NewBackend with an explicit interpreter mode for
 // the learned backend: "" or "compiled" lower the synthesized spec to
 // pre-resolved closures, "walk" keeps the reference tree-walker. The
 // modes answer byte-identically — the choice only affects per-call
 // latency — so the replay contract holds across modes. Non-learned
 // kinds ignore the mode.
-func NewBackendInterp(service, kind string, noisy bool, interpMode string) (Backend, error) {
+func newBackendInterp(service, kind string, noisy bool, interpMode string) (Backend, error) {
 	switch kind {
 	case "oracle":
 		return Cloud(service)
@@ -199,7 +199,7 @@ type Server struct {
 // HTTP surface. Identical configs produce behaviourally identical
 // servers — the replay contract.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	b, err := NewBackendInterp(cfg.Service, cfg.Backend, cfg.Noisy, cfg.Interp)
+	b, err := newBackendInterp(cfg.Service, cfg.Backend, cfg.Noisy, cfg.Interp)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +318,7 @@ func FactoryFor(b Backend, cfg ServerConfig) BackendFactory {
 		return f
 	}
 	return func() Backend {
-		nb, err := NewBackendInterp(cfg.Service, cfg.Backend, cfg.Noisy, cfg.Interp)
+		nb, err := newBackendInterp(cfg.Service, cfg.Backend, cfg.Noisy, cfg.Interp)
 		if err != nil {
 			// The identical build in NewServer succeeded, so this is
 			// unreachable short of resource exhaustion.
