@@ -13,11 +13,15 @@ build:
 test:
 	$(GO) test ./...
 
+# The e2ebench benchmark is a module of its own, which the main
+# module's ./... skips; its tests and vet ride along here.
 race:
 	$(GO) test -race -shuffle=on ./...
+	cd e2ebench && $(GO) test ./...
 
 lint:
 	$(GO) vet ./...
+	cd e2ebench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; \

@@ -72,6 +72,16 @@ const (
 	APIVersionHeader = "X-LCE-Api-Version"
 )
 
+// Canonical spellings of the header names above. net/http
+// canonicalizes every key it is handed, allocating unless the key
+// already is canonical, so the server's per-request header reads and
+// writes go through these.
+var (
+	sessionKey    = http.CanonicalHeaderKey(SessionHeader)
+	requestIDKey  = http.CanonicalHeaderKey(RequestIDHeader)
+	apiVersionKey = http.CanonicalHeaderKey(APIVersionHeader)
+)
+
 // API surface versions stamped into APIVersionHeader.
 const (
 	// APIVersion is the cluster-aware /v2 surface of one lce-server
@@ -229,7 +239,7 @@ func (s *server) routes() http.Handler {
 			// router can override it with its own value).
 			inner := fn
 			fn = func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set(APIVersionHeader, APIVersion)
+				w.Header().Set(apiVersionKey, APIVersion)
 				inner(w, r)
 			}
 		}
@@ -309,7 +319,7 @@ func (s *server) routes() http.Handler {
 // one from the server's sequence counter (splitmix64, so IDs look
 // opaque but are deterministic per server instance).
 func (s *server) requestID(r *http.Request) string {
-	if id := r.Header.Get(RequestIDHeader); id != "" {
+	if id := r.Header.Get(requestIDKey); id != "" {
 		if len(id) > 128 {
 			id = id[:128]
 		}
@@ -322,8 +332,31 @@ func (s *server) requestID(r *http.Request) string {
 	return fmt.Sprintf("lce-%016x", x)
 }
 
+// queryParam returns r.URL.Query().Get(key) — the first value of key,
+// decoded and with malformed pairs skipped exactly as url.ParseQuery
+// does — without building the whole url.Values map.
+func queryParam(r *http.Request, key string) string {
+	q := r.URL.RawQuery
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil || k != key {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // sessionOf extracts the session selector ("" means default).
-func sessionOf(r *http.Request) string { return r.Header.Get(SessionHeader) }
+func sessionOf(r *http.Request) string { return r.Header.Get(sessionKey) }
 
 // backendFor resolves the backend owning the request's session. On a
 // pool-less server only the default session exists.
@@ -376,7 +409,7 @@ func (s *server) v2Invoke(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if a := r.URL.Query().Get("Action"); a != "" {
+	if a := queryParam(r, "Action"); a != "" {
 		req.Action = a
 	}
 	if req.Action == "" {
@@ -415,7 +448,7 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request, b cloudapi.Backe
 	resp := wireResponse{Result: cloudapi.NormalizeResult(res)}
 	if v2 {
 		resp.RequestID = reqID
-		w.Header().Set(RequestIDHeader, reqID)
+		w.Header().Set(requestIDKey, reqID)
 	}
 	writeWireResponse(w, http.StatusOK, resp, obsv.PhasesFrom(r.Context()))
 }
@@ -593,7 +626,7 @@ func (s *server) v2Batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data = append(data, '\n')
-	w.Header().Set(RequestIDHeader, reqID)
+	w.Header().Set(requestIDKey, reqID)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
@@ -603,7 +636,7 @@ func (s *server) v2Batch(w http.ResponseWriter, r *http.Request) {
 // servers).
 func (s *server) v2Sessions(w http.ResponseWriter, r *http.Request) {
 	st := s.pool.Stats()
-	w.Header().Set(RequestIDHeader, s.requestID(r))
+	w.Header().Set(requestIDKey, s.requestID(r))
 	writeJSON(w, http.StatusOK, map[string]any{
 		// The node name this server was started with ("" standalone):
 		// the field that lets fleet-wide aggregation attribute these
@@ -663,7 +696,7 @@ func (s *server) checkService(w http.ResponseWriter, r *http.Request, reqID stri
 func (s *server) writeInvokeError(w http.ResponseWriter, b cloudapi.Backend, req wireRequest, reqID string, err error) {
 	we := s.invokeError(b, req, err)
 	we.RequestID = reqID
-	w.Header().Set(RequestIDHeader, reqID)
+	w.Header().Set(requestIDKey, reqID)
 	writeJSON(w, statusFor(we.Code), we)
 }
 
@@ -716,7 +749,7 @@ func (s *server) writeAPIError(w http.ResponseWriter, reqID string, err error) {
 }
 
 func (s *server) writeError(w http.ResponseWriter, status int, reqID string, ae *cloudapi.APIError, advice *wireAdvice) {
-	w.Header().Set(RequestIDHeader, reqID)
+	w.Header().Set(requestIDKey, reqID)
 	writeJSON(w, status, wireError{IsError: true, Code: ae.Code, Message: ae.Message, RequestID: reqID, Advice: advice})
 }
 

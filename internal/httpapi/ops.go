@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"lce/internal/cloudapi"
@@ -79,7 +81,7 @@ func responseCode(status int, body []byte) string {
 // action field. Routes without a single action (batch, reset) label
 // as "".
 func actionOf(r *http.Request, body []byte) string {
-	if a := r.URL.Query().Get("Action"); a != "" {
+	if a := queryParam(r, "Action"); a != "" {
 		return a
 	}
 	if len(bytes.TrimSpace(body)) == 0 {
@@ -91,6 +93,92 @@ func actionOf(r *http.Request, body []byte) string {
 	}
 	return req.Action
 }
+
+// routeMetrics holds one route's instruments. Each is resolved from
+// the registry the first time the route uses it and held from then
+// on, so a request reaches the registry (label rendering, its global
+// lock) only when it is the first to touch a series — the moment that
+// series would appear in the exposition either way, so no zero-valued
+// series shows up early.
+type routeMetrics struct {
+	reg            *obsv.Registry
+	route, service string
+
+	requests, errors atomic.Pointer[obsv.Counter]
+	seconds          atomic.Pointer[obsv.Histogram]
+	// phases holds lce_phase_seconds{phase,service}, indexed like
+	// obsv.PhaseNames.
+	phases [len(obsv.PhaseNames)]atomic.Pointer[obsv.Histogram]
+
+	// dims holds the ops plane's dimensional
+	// lce_http_requests_total{service,action,session,code} series.
+	dimsMu sync.RWMutex
+	dims   map[dimKey]*obsv.Counter
+}
+
+// dimKey is the varying part of a dimensional request series.
+type dimKey struct{ action, session, code string }
+
+// held returns *p, resolving and storing it on first use. Two requests
+// racing on a first use both resolve the same registry series.
+func held[T any](p *atomic.Pointer[T], resolve func() *T) *T {
+	if v := p.Load(); v != nil {
+		return v
+	}
+	v := resolve()
+	p.Store(v)
+	return v
+}
+
+func (m *routeMetrics) requestCounter() *obsv.Counter {
+	return held(&m.requests, func() *obsv.Counter { return m.reg.Counter(obsv.MetricHTTPRequests, "route", m.route) })
+}
+
+func (m *routeMetrics) errorCounter() *obsv.Counter {
+	return held(&m.errors, func() *obsv.Counter { return m.reg.Counter(obsv.MetricHTTPErrors, "route", m.route) })
+}
+
+func (m *routeMetrics) latency() *obsv.Histogram {
+	return held(&m.seconds, func() *obsv.Histogram { return m.reg.Histogram(obsv.MetricHTTPSeconds, "route", m.route) })
+}
+
+func (m *routeMetrics) phase(i int) *obsv.Histogram {
+	return held(&m.phases[i], func() *obsv.Histogram {
+		return m.reg.Histogram(obsv.MetricPhaseSeconds, "phase", obsv.PhaseNames[i], "service", m.service)
+	})
+}
+
+func (m *routeMetrics) dimensional(k dimKey) *obsv.Counter {
+	m.dimsMu.RLock()
+	c := m.dims[k]
+	m.dimsMu.RUnlock()
+	if c != nil {
+		return c
+	}
+	c = m.reg.Counter(obsv.MetricHTTPRequests,
+		"service", m.service, "action", k.action, "session", k.session, "code", k.code)
+	m.dimsMu.Lock()
+	m.dims[k] = c
+	m.dimsMu.Unlock()
+	return c
+}
+
+// phaseAttrs holds the "phase.<name>" span attribute keys, indexed
+// like obsv.PhaseNames, so tagging a request span builds no strings.
+var phaseAttrs = func() (keys [len(obsv.PhaseNames)]string) {
+	for i, name := range obsv.PhaseNames {
+		keys[i] = obsv.SpanAttrPhasePfx + name
+	}
+	return keys
+}()
+
+// teePool recycles the response mirrors the ops plane reads error
+// codes and flight records from.
+var teePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledTee keeps an occasional large response from pinning its
+// buffer in the pool.
+const maxPooledTee = 64 << 10
 
 // instrument wraps one route's handler with the request-scoped
 // observability: root span, request/error counters, latency histogram,
@@ -105,6 +193,12 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 	obs, ops := s.obs, s.ops
 	service := s.backend.Service()
 	capture := ops != nil && flightRoutes[route]
+	serverTiming := strings.HasPrefix(route, "v2.")
+	var metrics *routeMetrics
+	if reg := obs.Registry; reg != nil {
+		metrics = &routeMetrics{reg: reg, route: route, service: service, dims: map[dimKey]*obsv.Counter{}}
+	}
+	spanName := obsv.SpanHTTPPfx + route
 	return func(w http.ResponseWriter, r *http.Request) {
 		tracer := obs.TracerOrNil()
 		clock := tracer.Clock()
@@ -116,9 +210,9 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 			// client → router) continues the upstream trace; without one
 			// this request roots a fresh trace, exactly as before.
 			if sc, ok := obsv.Extract(r.Header); ok {
-				ctx, sp = tracer.StartRemote(ctx, obsv.SpanHTTPPfx+route, sc)
+				ctx, sp = tracer.StartRemote(ctx, spanName, sc)
 			} else {
-				ctx, sp = tracer.StartRoot(ctx, obsv.SpanHTTPPfx+route)
+				ctx, sp = tracer.StartRoot(ctx, spanName)
 			}
 			sp.SetAttr("method", r.Method)
 			sp.SetAttr("route", route)
@@ -140,9 +234,9 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 		}
 		sw := &statusWriter{ResponseWriter: w}
 		if ops != nil {
-			sw.tee = &bytes.Buffer{}
+			sw.tee = teePool.Get().(*bytes.Buffer)
 		}
-		if strings.HasPrefix(route, "v2.") {
+		if serverTiming {
 			// /v2 responses advertise the phase breakdown as a
 			// Server-Timing header, injected when the handler commits
 			// its status — by which point every pre-write phase
@@ -157,14 +251,16 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 		fn(sw, r.WithContext(ctx))
 		outer.End()
 		status := sw.statusOrOK()
-		sp.SetAttrInt("status", int64(status))
-		if status >= 400 {
-			sp.SetError("status " + strconv.Itoa(status))
+		if sp != nil {
+			sp.SetAttrInt("status", int64(status))
+			if status >= 400 {
+				sp.SetError("status " + strconv.Itoa(status))
+			}
+			pt.Each(func(name string, self time.Duration, _ uint32) {
+				sp.SetAttrInt(phaseAttrs[obsv.PhaseIndex(name)], self.Nanoseconds())
+			})
+			sp.End()
 		}
-		pt.Each(func(name string, self time.Duration, _ uint32) {
-			sp.SetAttrInt(obsv.SpanAttrPhasePfx+name, self.Nanoseconds())
-		})
-		sp.End()
 		dur := pt.Total()
 
 		code, action := "", ""
@@ -172,63 +268,56 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 			code = responseCode(status, sw.tee.Bytes())
 			action = actionOf(r, reqBody)
 		}
-		if reg := obs.Registry; reg != nil {
+		if metrics != nil {
 			// Per-route aggregates: the pre-ops series, kept stable so
 			// existing dashboards and tests read unchanged totals.
-			reg.Counter(obsv.MetricHTTPRequests, "route", route).Inc()
+			metrics.requestCounter().Inc()
 			if status >= 400 {
-				reg.Counter(obsv.MetricHTTPErrors, "route", route).Inc()
+				metrics.errorCounter().Inc()
 			}
-			h := reg.Histogram(obsv.MetricHTTPSeconds, "route", route)
-			if ops != nil && sp != nil {
-				// The exemplar joins this latency bucket to one concrete
-				// trace: scrape the histogram, follow the trace_id into
-				// GET /debug/traces.
-				h.ObserveDurationExemplar(dur, sp.TraceID())
-			} else {
-				h.ObserveDuration(dur)
+			// The exemplar joins a latency bucket to one concrete
+			// trace: scrape the histogram, follow the trace_id into
+			// GET /debug/traces. Exemplars ride only with the ops plane.
+			traceID := ""
+			if ops != nil {
+				traceID = sp.TraceID()
 			}
+			metrics.latency().ObserveDurationExemplar(dur, traceID)
 			// Per-phase self-time histograms: lce_phase_seconds sums
 			// to lce_http_request_seconds by construction, so a
 			// dashboard can stack the phases under the request curve.
 			pt.Each(func(name string, self time.Duration, _ uint32) {
-				ph := reg.Histogram(obsv.MetricPhaseSeconds, "phase", name, "service", service)
-				if ops != nil && sp != nil {
-					ph.ObserveDurationExemplar(self, sp.TraceID())
-				} else {
-					ph.ObserveDuration(self)
-				}
+				metrics.phase(obsv.PhaseIndex(name)).ObserveDurationExemplar(self, traceID)
 			})
 			if ops != nil {
 				session := sessionOf(r)
 				if session == "" {
 					session = tenant.DefaultSession
 				}
-				reg.Counter(obsv.MetricHTTPRequests,
-					"service", service, "action", action, "session", session, "code", code).Inc()
+				metrics.dimensional(dimKey{action: action, session: session, code: code}).Inc()
 			}
 		}
 		if ops != nil {
 			ops.Health.Record(sloError(status, code), dur)
 			if capture {
-				traceID := ""
-				if sp != nil {
-					traceID = sp.TraceID()
-				}
 				ops.Flight.Add(opsplane.FlightRecord{
 					Time:         start,
 					Method:       r.Method,
 					Path:         r.URL.RequestURI(),
 					Session:      sessionOf(r),
 					Action:       action,
-					TraceID:      traceID,
-					RequestID:    sw.Header().Get(RequestIDHeader),
+					TraceID:      sp.TraceID(),
+					RequestID:    sw.Header().Get(requestIDKey),
 					Status:       status,
 					LatencyNs:    dur.Nanoseconds(),
 					RequestBody:  string(reqBody),
 					ResponseBody: sw.tee.String(),
 					Phases:       pt.Map(),
 				})
+			}
+			if sw.tee.Cap() <= maxPooledTee {
+				sw.tee.Reset()
+				teePool.Put(sw.tee)
 			}
 		}
 		// Every consumer above copied what it needed; the contexts

@@ -456,3 +456,20 @@ func TestChaosSoakCrossSessionIsolation(t *testing.T) {
 		t.Errorf("pool holds %d sessions, want %d", st.Sessions, sessions)
 	}
 }
+
+// TestQueryParamMatchesURLQuery: the map-free query lookup answers
+// exactly what r.URL.Query().Get does, escapes, repeats and malformed
+// pairs included.
+func TestQueryParamMatchesURLQuery(t *testing.T) {
+	for _, raw := range []string{
+		"", "Action=DescribeVpcs", "x=1&Action=CreateVpc&Action=DeleteVpc",
+		"Action", "Action=", "Action=a%20b+c", "Act%69on=Escaped", "Action=%zz&Action=second",
+		"%zz=1&Action=ok", "Action=a;b&Action=c", "a=1;Action=x", "&&Action=y&", "action=lower",
+	} {
+		r := httptest.NewRequest("POST", "/v2/ec2", nil)
+		r.URL.RawQuery = raw
+		if got, want := queryParam(r, "Action"), r.URL.Query().Get("Action"); got != want {
+			t.Errorf("query %q: queryParam = %q, url.Query = %q", raw, got, want)
+		}
+	}
+}

@@ -48,7 +48,7 @@ var PhaseNames = [...]string{
 }
 
 // KnownPhase reports whether name is in the phase taxonomy.
-func KnownPhase(name string) bool { return phaseIndex(name) >= 0 }
+func KnownPhase(name string) bool { return PhaseIndex(name) >= 0 }
 
 // SpanAttrPhasePfx prefixes per-phase span attributes: a finished
 // request span carries "phase.decode", "phase.encode", … with
@@ -63,7 +63,9 @@ const numPhases = len(PhaseNames)
 // beyond the bound are dropped, never mis-accounted.
 const maxPhaseDepth = 8
 
-func phaseIndex(name string) int {
+// PhaseIndex returns name's position in PhaseNames, or -1 for a name
+// outside the taxonomy — the index per-phase instrument tables use.
+func PhaseIndex(name string) int {
 	switch name {
 	case PhaseDecode:
 		return 0
@@ -157,7 +159,7 @@ func (pt *PhaseTimer) Start(name string) PhaseRegion {
 	if pt == nil {
 		return PhaseRegion{}
 	}
-	idx := phaseIndex(name)
+	idx := PhaseIndex(name)
 	if idx < 0 {
 		return PhaseRegion{}
 	}
@@ -256,36 +258,38 @@ func (pt *PhaseTimer) ServerTiming() string {
 	if pt == nil {
 		return ""
 	}
-	var b strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	pt.Each(func(name string, self time.Duration, _ uint32) {
-		if b.Len() > 0 {
-			b.WriteString(", ")
+		if len(b) > 0 {
+			b = append(b, ", "...)
 		}
-		b.WriteString(name)
-		b.WriteString(";dur=")
-		b.WriteString(strconv.FormatFloat(float64(self)/float64(time.Millisecond), 'f', 3, 64))
+		b = append(b, name...)
+		b = append(b, ";dur="...)
+		b = strconv.AppendFloat(b, float64(self)/float64(time.Millisecond), 'f', 3, 64)
 	})
-	return b.String()
+	return string(b)
 }
 
-// ParseServerTiming decodes a ServerTiming header value back into
-// per-phase durations — the router reads each node's response header
-// this way to attribute fleet latency to a node's phase without a
-// second round trip. Unknown metrics and malformed entries are
-// skipped; an empty or absent header yields an empty map.
-func ParseServerTiming(v string) map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for _, entry := range strings.Split(v, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, rest, ok := strings.Cut(entry, ";")
+// EachServerTiming decodes a Server-Timing header value entry by entry,
+// calling fn with each metric name and its dur parameter (the last
+// valid one when an entry repeats it) — the router folds every node
+// response into its per-phase totals this way, without building a map
+// per call. Entries without a well-formed, non-negative dur are
+// skipped.
+func EachServerTiming(v string, fn func(name string, d time.Duration)) {
+	for v != "" {
+		var entry string
+		entry, v, _ = strings.Cut(v, ",")
+		name, rest, ok := strings.Cut(strings.TrimSpace(entry), ";")
 		if !ok {
 			continue
 		}
-		name = strings.TrimSpace(name)
-		for _, param := range strings.Split(rest, ";") {
+		var d time.Duration
+		found := false
+		for more := true; more; {
+			var param string
+			param, rest, more = strings.Cut(rest, ";")
 			k, val, ok := strings.Cut(strings.TrimSpace(param), "=")
 			if !ok || strings.TrimSpace(k) != "dur" {
 				continue
@@ -294,9 +298,21 @@ func ParseServerTiming(v string) map[string]time.Duration {
 			if err != nil || ms < 0 {
 				continue
 			}
-			out[name] = time.Duration(ms * float64(time.Millisecond))
+			d, found = time.Duration(ms*float64(time.Millisecond)), true
+		}
+		if found {
+			fn(strings.TrimSpace(name), d)
 		}
 	}
+}
+
+// ParseServerTiming decodes a Server-Timing header value into a
+// metric name → duration map (the last entry wins on a repeated name).
+// Unknown metrics and malformed entries are skipped; an empty or
+// absent header yields an empty map.
+func ParseServerTiming(v string) map[string]time.Duration {
+	out := map[string]time.Duration{}
+	EachServerTiming(v, func(name string, d time.Duration) { out[name] = d })
 	return out
 }
 

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -200,5 +201,73 @@ func TestValidatePhases(t *testing.T) {
 		if err := ValidatePhases([]SpanData{span(tc.attrs)}); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 		}
+	}
+}
+
+// TestEachServerTimingRoundTrip: every phase ServerTiming renders comes
+// back from EachServerTiming in header order with its duration (to the
+// header's microsecond precision), and ParseServerTiming agrees.
+func TestEachServerTimingRoundTrip(t *testing.T) {
+	clk := NewFakeClock(time.Time{})
+	pt := AcquirePhaseTimer(clk)
+	defer pt.Release()
+	steps := []struct {
+		phase string
+		d     time.Duration
+	}{
+		{PhaseDecode, 41 * time.Microsecond},
+		{PhaseSessionLookup, 1234567 * time.Nanosecond},
+		{PhaseDispatch, 2 * time.Second},
+		{PhaseEncode, 999 * time.Nanosecond},
+	}
+	for _, st := range steps {
+		r := pt.Start(st.phase)
+		clk.Advance(st.d)
+		r.End()
+	}
+	header := pt.ServerTiming()
+	var names []string
+	EachServerTiming(header, func(name string, d time.Duration) {
+		names = append(names, name)
+		want := steps[len(names)-1].d.Round(time.Microsecond)
+		if d.Round(time.Microsecond) != want {
+			t.Errorf("%s: dur %v, want %v (header %q)", name, d, want, header)
+		}
+	})
+	if len(names) != len(steps) {
+		t.Fatalf("visited %v from %q", names, header)
+	}
+	for i, st := range steps {
+		if names[i] != st.phase {
+			t.Errorf("entry %d = %q, want %q", i, names[i], st.phase)
+		}
+	}
+	parsed := ParseServerTiming(header)
+	if len(parsed) != len(steps) || parsed[PhaseDispatch] != 2*time.Second {
+		t.Fatalf("ParseServerTiming(%q) = %v", header, parsed)
+	}
+}
+
+// TestEachServerTimingSkipsMalformed: entries without a name, without
+// a dur, or with an unparsable or negative dur are skipped; an entry
+// repeating dur reports the last valid one; ParseServerTiming keeps the
+// last entry of a repeated name.
+func TestEachServerTimingSkipsMalformed(t *testing.T) {
+	const v = " decode ; dur=1.5 ,, bare, encode;desc=x, other;dur=-1, fsync;dur=abc," +
+		"interp.dispatch;dur=2;dur=3;dur=x, decode;dur=0.25"
+	var got []string
+	EachServerTiming(v, func(name string, d time.Duration) {
+		got = append(got, fmt.Sprintf("%s=%v", name, d))
+	})
+	want := []string{"decode=1.5ms", "interp.dispatch=3ms", "decode=250µs"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("visited %v, want %v", got, want)
+	}
+	parsed := ParseServerTiming(v)
+	if len(parsed) != 2 || parsed[PhaseDecode] != 250*time.Microsecond || parsed[PhaseDispatch] != 3*time.Millisecond {
+		t.Fatalf("ParseServerTiming = %v", parsed)
+	}
+	if n := len(ParseServerTiming("")); n != 0 {
+		t.Fatalf("empty header parsed to %d entries", n)
 	}
 }

@@ -30,6 +30,10 @@ import (
 // TraceHeader carries trace context across process boundaries.
 const TraceHeader = "X-LCE-Trace"
 
+// traceKey is TraceHeader in net/http's canonical spelling, which
+// header reads and writes accept without allocating a canonical copy.
+var traceKey = http.CanonicalHeaderKey(TraceHeader)
+
 // FlagSampled marks the trace as recorded upstream. It is informational
 // today — both tiers record unconditionally when tracing is on — but
 // reserves the usual bit-0 meaning for future head sampling.
@@ -104,7 +108,7 @@ func Inject(h http.Header, sp *Span) {
 	if sp == nil || h == nil {
 		return
 	}
-	h.Set(TraceHeader, sp.SpanContext().String())
+	h.Set(traceKey, sp.SpanContext().String())
 }
 
 // Extract reads a propagated span context from h. The second return is
@@ -113,7 +117,7 @@ func Extract(h http.Header) (SpanContext, bool) {
 	if h == nil {
 		return SpanContext{}, false
 	}
-	v := h.Get(TraceHeader)
+	v := h.Get(traceKey)
 	if v == "" {
 		return SpanContext{}, false
 	}

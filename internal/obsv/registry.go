@@ -17,10 +17,18 @@ import (
 // counter structs that predate it (align.Counters publishes its
 // snapshot into a Registry; see align.Stats.PublishTo).
 //
-// Instruments are created on first use and memoized, so hot paths
-// should hold the returned instrument rather than re-looking it up
-// per event. A nil *Registry is the disabled registry: lookups return
-// nil instruments whose methods no-op.
+// Instruments are created on first use and memoized. A lookup renders
+// the label set into a stack buffer and allocates nothing once the
+// series exists, but it still sorts the labels and takes the
+// registry-wide lock, so a per-request path should resolve each
+// instrument once and hold it — as the HTTP layer does per route
+// (internal/httpapi) — and reach the registry only the first time a
+// series is used, which keeps a series out of the exposition until it
+// has something to report. The returned instruments are views of the
+// registry's own series: holding one costs nothing and two lookups of
+// the same series return equal pointers. A nil *Registry is the
+// disabled registry: lookups return nil instruments whose methods
+// no-op.
 type Registry struct {
 	mu    sync.Mutex
 	items map[string]*instrument
@@ -76,65 +84,76 @@ func EscapeLabelValue(v string) string {
 	return b.String()
 }
 
-// renderLabels canonicalizes alternating key,value pairs into
-// Prometheus label syntax, sorted by key. A trailing odd key is
-// dropped.
-func renderLabels(kv []string) string {
-	if len(kv) < 2 {
-		return ""
+// appendLabels appends the canonical Prometheus rendering of
+// alternating key,value pairs — {k="v",...}, sorted by key, values
+// escaped — to dst. A trailing odd key is dropped, and no pairs append
+// nothing. Label sets hold one to four pairs, so a stable insertion
+// sort over a stack array orders them without allocating.
+func appendLabels(dst []byte, kv []string) []byte {
+	n := len(kv) / 2
+	if n == 0 {
+		return dst
 	}
-	type pair struct{ k, v string }
-	pairs := make([]pair, 0, len(kv)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		pairs = append(pairs, pair{kv[i], kv[i+1]})
+	var small [8]int
+	order := small[:0]
+	if n > len(small) {
+		order = make([]int, 0, n)
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
+	for i := 0; i < n; i++ {
+		order = append(order, i)
+		j := len(order) - 1
+		for ; j > 0 && kv[2*order[j-1]] > kv[2*i]; j-- {
+			order[j] = order[j-1]
 		}
-		fmt.Fprintf(&b, `%s="%s"`, p.k, EscapeLabelValue(p.v))
+		order[j] = i
 	}
-	b.WriteByte('}')
-	return b.String()
+	dst = append(dst, '{')
+	for p, i := range order {
+		if p > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, kv[2*i]...)
+		dst = append(dst, '=', '"')
+		dst = append(dst, EscapeLabelValue(kv[2*i+1])...)
+		dst = append(dst, '"')
+	}
+	return append(dst, '}')
 }
 
-// lookup finds or creates the instrument for (name, labels). A kind
-// clash (the same series requested as two different types) panics:
-// that is a programming error worth failing loudly on.
+// lookup finds or creates the instrument for (name, labels). The key
+// is rendered once, into a stack buffer, so a hit allocates nothing
+// and a miss allocates only the new series. A kind clash (the same
+// series requested as two different types) panics: that is a
+// programming error worth failing loudly on.
 func (r *Registry) lookup(kind, name string, labels []string) *instrument {
 	if r == nil {
 		return nil
 	}
-	key := name + renderLabels(labels)
+	var buf [128]byte
+	key := appendLabels(append(buf[:0], name...), labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if in, ok := r.items[key]; ok {
+	if in, ok := r.items[string(key)]; ok {
 		if in.kind != kind {
-			panic(fmt.Sprintf("obsv: metric %s registered as %s, requested as %s", key, in.kind, kind))
+			panic(fmt.Sprintf("obsv: metric %s registered as %s, requested as %s", string(key), in.kind, kind))
 		}
 		return in
 	}
-	in := &instrument{name: name, labels: renderLabels(labels), kind: kind}
+	k := string(key)
+	in := &instrument{name: name, labels: k[len(name):], kind: kind}
 	if kind == "histogram" {
 		in.hist = newHistogram(DefaultDurationBuckets)
 	}
-	r.items[key] = in
+	r.items[k] = in
 	return in
 }
 
 // Counter is a monotonically increasing series.
-type Counter struct{ in *instrument }
+type Counter instrument
 
 // Counter returns the counter for name and label pairs.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	in := r.lookup("counter", name, labels)
-	if in == nil {
-		return nil
-	}
-	return &Counter{in: in}
+	return (*Counter)(r.lookup("counter", name, labels))
 }
 
 // Inc adds 1.
@@ -142,86 +161,78 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (negative n is ignored — counters only go up).
 func (c *Counter) Add(n int64) {
-	if c == nil || c.in == nil || n < 0 {
+	if c == nil || n < 0 {
 		return
 	}
-	c.in.val.Add(n)
+	c.val.Add(n)
 }
 
 // Value returns the current total.
 func (c *Counter) Value() int64 {
-	if c == nil || c.in == nil {
+	if c == nil {
 		return 0
 	}
-	return c.in.val.Load()
+	return c.val.Load()
 }
 
 // Gauge is a series that can go up and down.
-type Gauge struct{ in *instrument }
+type Gauge instrument
 
 // Gauge returns the gauge for name and label pairs.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	in := r.lookup("gauge", name, labels)
-	if in == nil {
-		return nil
-	}
-	return &Gauge{in: in}
+	return (*Gauge)(r.lookup("gauge", name, labels))
 }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) {
-	if g == nil || g.in == nil {
+	if g == nil {
 		return
 	}
-	g.in.val.Store(v)
+	g.val.Store(v)
 }
 
 // Add adds n (may be negative).
 func (g *Gauge) Add(n int64) {
-	if g == nil || g.in == nil {
+	if g == nil {
 		return
 	}
-	g.in.val.Add(n)
+	g.val.Add(n)
 }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
-	if g == nil || g.in == nil {
+	if g == nil {
 		return 0
 	}
-	return g.in.val.Load()
+	return g.val.Load()
 }
 
 // FloatGauge is a float-valued series that can go up and down — the
 // SLO engine's burn rates are ratios, which an integer gauge cannot
 // carry without losing the signal near 1.0.
-type FloatGauge struct{ in *instrument }
+type FloatGauge instrument
 
 // FloatGauge returns the float gauge for name and label pairs. It
 // exposes as TYPE gauge; requesting the same series as an integer
 // Gauge panics (kind clash).
 func (r *Registry) FloatGauge(name string, labels ...string) *FloatGauge {
-	in := r.lookup("floatgauge", name, labels)
-	if in == nil {
-		return nil
-	}
-	return &FloatGauge{in: in}
+	return (*FloatGauge)(r.lookup("floatgauge", name, labels))
 }
 
 // Set stores v (NaN is ignored).
 func (g *FloatGauge) Set(v float64) {
-	if g == nil || g.in == nil || math.IsNaN(v) {
+	if g == nil || math.IsNaN(v) {
 		return
 	}
-	g.in.fval.Store(math.Float64bits(v))
+	g.fval.Store(math.Float64bits(v))
 }
 
 // Value returns the current value.
 func (g *FloatGauge) Value() float64 {
-	if g == nil || g.in == nil {
+	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.in.fval.Load())
+	return math.Float64frombits(g.fval.Load())
 }
 
 // DefaultDurationBuckets are the fixed histogram bounds, in seconds:
@@ -241,7 +252,33 @@ type histogram struct {
 	// exemplars holds the most recent exemplar per bucket (last write
 	// wins) — the trace-ID breadcrumb that links a latency bucket to
 	// the request that landed in it.
-	exemplars []atomic.Pointer[Exemplar]
+	exemplars []exemplarSlot
+}
+
+// exemplarSlot is one bucket's exemplar, overwritten in place under
+// its own lock so recording one allocates nothing.
+type exemplarSlot struct {
+	mu  sync.Mutex
+	set bool
+	ex  Exemplar
+}
+
+func (s *exemplarSlot) store(ex Exemplar) {
+	s.mu.Lock()
+	s.ex, s.set = ex, true
+	s.mu.Unlock()
+}
+
+// load returns a copy of the slot's exemplar, nil while none has been
+// recorded.
+func (s *exemplarSlot) load() *Exemplar {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.set {
+		return nil
+	}
+	ex := s.ex
+	return &ex
 }
 
 // Exemplar attaches one sampled observation's trace ID to a histogram
@@ -259,29 +296,25 @@ func newHistogram(bounds []float64) *histogram {
 	return &histogram{
 		bounds:    bounds,
 		counts:    make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		exemplars: make([]exemplarSlot, len(bounds)+1),
 	}
 }
 
 // Histogram is a fixed-bucket distribution series.
-type Histogram struct{ h *histogram }
+type Histogram instrument
 
 // Histogram returns the histogram for name and label pairs, with
 // DefaultDurationBuckets.
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
-	in := r.lookup("histogram", name, labels)
-	if in == nil {
-		return nil
-	}
-	return &Histogram{h: in.hist}
+	return (*Histogram)(r.lookup("histogram", name, labels))
 }
 
 // Observe records one sample. Safe for concurrent use.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || h.h == nil || math.IsNaN(v) {
+	if h == nil || math.IsNaN(v) {
 		return
 	}
-	d := h.h
+	d := h.hist
 	i := sort.SearchFloat64s(d.bounds, v)
 	d.counts[i].Add(1)
 	d.count.Add(1)
@@ -301,12 +334,12 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // the same pay-for-what-you-use rule as everywhere else in obsv).
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.Observe(v)
-	if h == nil || h.h == nil || traceID == "" || math.IsNaN(v) {
+	if h == nil || traceID == "" || math.IsNaN(v) {
 		return
 	}
-	d := h.h
+	d := h.hist
 	i := sort.SearchFloat64s(d.bounds, v)
-	d.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
+	d.exemplars[i].store(Exemplar{TraceID: traceID, Value: v})
 }
 
 // ObserveDurationExemplar is ObserveExemplar over a duration in
@@ -318,30 +351,30 @@ func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID string) {
 // Exemplars returns the per-bucket exemplars (nil entries where no
 // exemplar has been recorded); index len(bounds) is the +Inf bucket.
 func (h *Histogram) Exemplars() []*Exemplar {
-	if h == nil || h.h == nil {
+	if h == nil {
 		return nil
 	}
-	out := make([]*Exemplar, len(h.h.exemplars))
-	for i := range h.h.exemplars {
-		out[i] = h.h.exemplars[i].Load()
+	out := make([]*Exemplar, len(h.hist.exemplars))
+	for i := range h.hist.exemplars {
+		out[i] = h.hist.exemplars[i].load()
 	}
 	return out
 }
 
 // Count returns the number of samples.
 func (h *Histogram) Count() int64 {
-	if h == nil || h.h == nil {
+	if h == nil {
 		return 0
 	}
-	return h.h.count.Load()
+	return h.hist.count.Load()
 }
 
 // Sum returns the sum of samples.
 func (h *Histogram) Sum() float64 {
-	if h == nil || h.h == nil {
+	if h == nil {
 		return 0
 	}
-	return math.Float64frombits(h.h.sumBits.Load())
+	return math.Float64frombits(h.hist.sumBits.Load())
 }
 
 // Quantile estimates the q-th quantile (q in [0, 1]) by linear
@@ -350,10 +383,10 @@ func (h *Histogram) Sum() float64 {
 // above the last bound report the last bound. Returns 0 with no
 // samples.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.h == nil {
+	if h == nil {
 		return 0
 	}
-	d := h.h
+	d := h.hist
 	total := d.count.Load()
 	if total == 0 {
 		return 0
@@ -456,7 +489,7 @@ func (r *Registry) writeExposition(w *strings.Builder, openMetrics bool) {
 				cum += d.counts[i].Load()
 				fmt.Fprintf(w, "%s_bucket%s %d", in.name, joinLabels(inner, le), cum)
 				if openMetrics {
-					if ex := d.exemplars[i].Load(); ex != nil {
+					if ex := d.exemplars[i].load(); ex != nil {
 						fmt.Fprintf(w, ` # {trace_id="%s"} %s`, EscapeLabelValue(ex.TraceID), formatFloat(ex.Value))
 					}
 				}

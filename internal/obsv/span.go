@@ -26,6 +26,12 @@
 //     tracer's store is a lock-protected ring buffer, so concurrent
 //     workers can record freely; the ring bounds memory on long-lived
 //     servers.
+//
+//   - Sealed on End. End seals the span: later SetAttr, SetAttrInt,
+//     SetError and Event calls are no-ops, so the recorded SpanData can
+//     share the span's attribute map and event slice instead of copying
+//     them, and what the ring, the JSONL export and the OnEnd hook see
+//     never changes after the fact.
 package obsv
 
 import (
@@ -36,6 +42,7 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +57,17 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func idString(v uint64) string { return fmt.Sprintf("%016x", v) }
+// idString renders an ID as 16 lower-case hex digits (the
+// fmt "%016x" form) through a digit table.
+func idString(v uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
+}
 
 // Event is a timestamped annotation inside a span — the fault layer
 // records injected decisions this way, the retry layer its backoffs.
@@ -213,13 +230,14 @@ func (t *Tracer) StartRootKeyed(ctx context.Context, name string, key int64) (co
 }
 
 func (t *Tracer) startRoot(ctx context.Context, name string, tid uint64) (context.Context, *Span) {
+	sid := mix64(tid)
 	sp := &Span{
 		tracer: t,
 		tid:    tid,
-		sid:    mix64(tid),
+		sid:    sid,
 		data: SpanData{
 			TraceID: idString(tid),
-			SpanID:  idString(mix64(tid)),
+			SpanID:  idString(sid),
 			Name:    name,
 			Start:   t.Clock().Now(),
 		},
@@ -341,40 +359,46 @@ func (s *Span) SpanID() string {
 	return s.data.SpanID
 }
 
-// SetAttr sets one string attribute.
+// SetAttr sets one string attribute (a no-op once the span has ended).
 func (s *Span) SetAttr(k, v string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ended {
+		return
+	}
 	if s.data.Attrs == nil {
 		s.data.Attrs = map[string]string{}
 	}
 	s.data.Attrs[k] = v
 }
 
-// SetAttrInt sets one integer attribute.
+// SetAttrInt sets one integer attribute in decimal.
 func (s *Span) SetAttrInt(k string, v int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(k, fmt.Sprintf("%d", v))
+	s.SetAttr(k, strconv.FormatInt(v, 10))
 }
 
 // SetError marks the span failed with a status message (an API error
-// code, an HTTP status). The last call wins.
+// code, an HTTP status). The last call before End wins.
 func (s *Span) SetError(msg string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.data.Error = msg
+	if !s.ended {
+		s.data.Error = msg
+	}
 	s.mu.Unlock()
 }
 
-// Event appends a timestamped annotation. kv is alternating key,
-// value pairs; a trailing odd key is dropped.
+// Event appends a timestamped annotation (a no-op once the span has
+// ended). kv is alternating key, value pairs; a trailing odd key is
+// dropped.
 func (s *Span) Event(name string, kv ...string) {
 	if s == nil {
 		return
@@ -388,7 +412,9 @@ func (s *Span) Event(name string, kv ...string) {
 	}
 	now := s.tracer.Clock().Now()
 	s.mu.Lock()
-	s.data.Events = append(s.data.Events, Event{Time: now, Name: name, Attrs: attrs})
+	if !s.ended {
+		s.data.Events = append(s.data.Events, Event{Time: now, Name: name, Attrs: attrs})
+	}
 	s.mu.Unlock()
 }
 
@@ -418,8 +444,10 @@ func (s *Span) child(name string) *Span {
 	}
 }
 
-// End finishes the span and commits it to the tracer's ring. Safe to
-// call more than once; only the first call records.
+// End finishes and seals the span, then commits it to the tracer's
+// ring. Safe to call more than once; only the first call records. The
+// record shares the span's attribute map and event slice: sealing is
+// what makes that safe, since nothing writes to them after End.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -433,16 +461,6 @@ func (s *Span) End() {
 	s.ended = true
 	s.data.End = now
 	d := s.data
-	// Copy the mutable containers so post-End mutation (there should
-	// be none, but the API cannot forbid it) never aliases the ring.
-	if d.Attrs != nil {
-		attrs := make(map[string]string, len(d.Attrs))
-		for k, v := range d.Attrs {
-			attrs[k] = v
-		}
-		d.Attrs = attrs
-	}
-	d.Events = append([]Event(nil), d.Events...)
 	s.mu.Unlock()
 	s.tracer.record(d)
 }

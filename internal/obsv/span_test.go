@@ -3,7 +3,9 @@ package obsv
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -260,5 +262,92 @@ func TestEndIsIdempotent(t *testing.T) {
 	sp.End()
 	if tr.Recorded() != 1 {
 		t.Fatalf("double End recorded %d spans", tr.Recorded())
+	}
+}
+
+// TestIDStringMatchesSprintf: the table-driven ID renderer is the
+// fmt "%016x" form, byte for byte.
+func TestIDStringMatchesSprintf(t *testing.T) {
+	vals := []uint64{0, 1, 0xf, 0x10, 0xdeadbeef, 1 << 63, ^uint64(0)}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, rng.Uint64())
+	}
+	for _, v := range vals {
+		if got, want := idString(v), fmt.Sprintf("%016x", v); got != want {
+			t.Fatalf("idString(%d) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestEndSealsSpan: once a span has ended, SetAttr, SetAttrInt,
+// SetError and Event leave the recorded SpanData — in the ring and as
+// handed to the OnEnd hook — exactly as End left it.
+func TestEndSealsSpan(t *testing.T) {
+	tr := NewTracer(3, 0)
+	tr.SetClock(NewFakeClock(time.Time{}))
+	var hooked SpanData
+	tr.SetOnEnd(func(d SpanData) { hooked = d })
+	_, sp := tr.StartRoot(context.Background(), "x")
+	sp.SetAttr("k", "v")
+	sp.SetAttrInt("n", 7)
+	sp.SetError("first")
+	sp.Event("e", "a", "b")
+	sp.End()
+
+	want := tr.Snapshot()[0]
+	wantJSON, _ := json.Marshal(want)
+	sp.SetAttr("k", "changed")
+	sp.SetAttr("late", "v")
+	sp.SetAttrInt("n", 8)
+	sp.SetError("second")
+	sp.Event("late", "c", "d")
+	sp.End()
+
+	for name, got := range map[string]SpanData{"ring": tr.Snapshot()[0], "hook": hooked} {
+		gotJSON, _ := json.Marshal(got)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s record changed after End:\nwant %s\ngot  %s", name, wantJSON, gotJSON)
+		}
+	}
+	if want.Attrs["n"] != "7" || want.Error != "first" || len(want.Events) != 1 {
+		t.Fatalf("pre-End writes missing from the record: %+v", want)
+	}
+	if tr.Recorded() != 1 {
+		t.Fatalf("recorded %d spans, want 1", tr.Recorded())
+	}
+}
+
+// TestConcurrentSetAttrAndEnd races attribute writers against End:
+// every write either lands before the seal or is dropped, and the
+// recorded attrs never change once End returns. Run with -race.
+func TestConcurrentSetAttrAndEnd(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		tr := NewTracer(int64(round), 0)
+		_, sp := tr.StartRoot(context.Background(), "x")
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 100; i++ {
+					k := fmt.Sprintf("w%d.%d", w, i)
+					sp.SetAttr(k, "v")
+					sp.SetAttrInt(k+".n", int64(i))
+					sp.SetError(k)
+					sp.Event(k)
+				}
+			}(w)
+		}
+		close(start)
+		sp.End()
+		sealed, _ := json.Marshal(tr.Snapshot()[0])
+		wg.Wait()
+		after, _ := json.Marshal(tr.Snapshot()[0])
+		if !bytes.Equal(sealed, after) {
+			t.Fatalf("round %d: record changed after End:\nat End %s\nlater  %s", round, sealed, after)
+		}
 	}
 }

@@ -186,7 +186,14 @@ func (b *Bus) removeLocked(s *Subscription, slow bool) {
 // matching subscriber. Never blocks: a subscriber whose buffer is full
 // is disconnected (slow-consumer policy). Publishing on a closed bus
 // is a no-op.
-func (b *Bus) Publish(e Event) {
+func (b *Bus) Publish(e Event) { b.publishWith(e, nil) }
+
+// publishWith is Publish for an event whose Attrs cost more to build
+// than the rest of the event: attrs, when non-nil, runs under the bus
+// lock and only while a subscriber is attached, so an unwatched bus
+// pays for sequencing and counting alone. The sequence number and
+// lce_ops_events_total advance exactly as they do for Publish.
+func (b *Bus) publishWith(e Event, attrs func() map[string]string) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -194,6 +201,9 @@ func (b *Bus) Publish(e Event) {
 	}
 	b.seq++
 	e.Seq = b.seq
+	if attrs != nil && len(b.subs) > 0 {
+		e.Attrs = attrs()
+	}
 	ctr := b.kindCtr[e.Kind]
 	if ctr == nil && b.reg != nil {
 		ctr = b.reg.Counter(obsv.MetricOpsEvents, "kind", e.Kind)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -193,22 +194,27 @@ func (p *Plane) spanEnded(d obsv.SpanData) {
 	}
 	e := base
 	e.Kind = KindSpanEnd
-	e.Attrs = map[string]string{
+	p.Bus.publishWith(e, func() map[string]string { return spanEndAttrs(&d) })
+}
+
+// spanEndAttrs builds a KindSpanEnd event's detail: the span name, its
+// duration, its phase attributes verbatim — so an SSE subscriber sees
+// each request's latency attribution live without scraping the trace
+// export — and its error, if any.
+func spanEndAttrs(d *obsv.SpanData) map[string]string {
+	attrs := map[string]string{
 		"name":       d.Name,
-		"durationNs": fmt.Sprintf("%d", d.Duration().Nanoseconds()),
+		"durationNs": strconv.FormatInt(d.Duration().Nanoseconds(), 10),
 	}
-	// Phase attributes ride the span-end event verbatim, so an SSE
-	// subscriber sees each request's latency attribution live without
-	// scraping the trace export.
 	for k, v := range d.Attrs {
 		if strings.HasPrefix(k, obsv.SpanAttrPhasePfx) {
-			e.Attrs[k] = v
+			attrs[k] = v
 		}
 	}
 	if d.Error != "" {
-		e.Attrs["error"] = d.Error
+		attrs["error"] = d.Error
 	}
-	p.Bus.Publish(e)
+	return attrs
 }
 
 // OnEvict returns the tenant-pool eviction hook: it publishes a

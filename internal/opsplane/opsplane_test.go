@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -589,5 +590,96 @@ func TestServeEventsNoHeartbeatWhenDisabled(t *testing.T) {
 	n, _ := resp.Body.Read(buf) // blocks until ctx deadline kills the idle stream
 	if got := string(buf[:n]); strings.Contains(got, "keepalive") {
 		t.Fatalf("disabled heartbeat still sent %q", got)
+	}
+}
+
+// publishSpans ends a fixed sequence of spans — a request span with
+// phase attributes and an error, a child with a fault event, and a
+// plain root — then publishes one eviction, on a fresh plane. With
+// subscribe, a subscriber is attached before the first span ends.
+func publishSpans(t *testing.T, subscribe bool) (*Plane, *obsv.Obs, *Subscription) {
+	t.Helper()
+	obs := obsv.New(9, 64)
+	clock := obsv.NewFakeClock(time.Time{})
+	obs.Tracer.SetClock(clock)
+	p := New(Config{Service: "ec2", Obs: obs, Clock: clock})
+	var sub *Subscription
+	if subscribe {
+		sub = p.Bus.Subscribe(Filter{}, 64)
+	}
+	ctx, root := obs.Tracer.StartRoot(context.Background(), obsv.SpanHTTPPfx+"v2.invoke")
+	root.SetAttr("session", "alice")
+	root.SetAttr("action", "CreateVpc")
+	root.SetAttrInt(obsv.SpanAttrPhasePfx+obsv.PhaseDecode, 1500)
+	root.SetAttrInt(obsv.SpanAttrPhasePfx+obsv.PhaseDispatch, 42000)
+	root.SetAttr("status", "400")
+	root.SetError("status 400")
+	_, call := obsv.StartSpan(ctx, obsv.SpanCallPfx+"CreateVpc")
+	call.Event(obsv.EventFault, "code", "Throttling")
+	clock.Advance(250 * time.Microsecond)
+	call.End()
+	clock.Advance(time.Millisecond)
+	root.End()
+	_, plain := obs.Tracer.StartRoot(context.Background(), "probe")
+	plain.End()
+	p.Publish(Event{Kind: KindEviction, Session: "bob"})
+	return p, obs, sub
+}
+
+// TestBusCountsIndependentOfSubscribers: span-end events only build
+// their attrs for a watched bus, but the sequence numbers and
+// lce_ops_events_total advance identically with and without a
+// subscriber.
+func TestBusCountsIndependentOfSubscribers(t *testing.T) {
+	quiet, quietObs, _ := publishSpans(t, false)
+	watched, watchedObs, _ := publishSpans(t, true)
+	if q, w := quiet.Bus.Published(), watched.Bus.Published(); q != w || q != 5 {
+		t.Fatalf("Published() = %d unwatched, %d watched; want 5 for both", q, w)
+	}
+	for _, kind := range []string{KindSpanEnd, KindFaultInjected, KindEviction} {
+		q := quietObs.Registry.Counter(obsv.MetricOpsEvents, "kind", kind).Value()
+		w := watchedObs.Registry.Counter(obsv.MetricOpsEvents, "kind", kind).Value()
+		if q != w || q == 0 {
+			t.Errorf("%s{kind=%q} = %d unwatched, %d watched", obsv.MetricOpsEvents, kind, q, w)
+		}
+	}
+	var qm, wm strings.Builder
+	quietObs.Registry.WritePrometheus(&qm)
+	watchedObs.Registry.WritePrometheus(&wm)
+	if qm.String() != wm.String() {
+		t.Errorf("exposition depends on subscribers:\nunwatched:\n%s\nwatched:\n%s", qm.String(), wm.String())
+	}
+}
+
+// TestSpanEndEventAttrs: a subscriber's span.end events carry the span
+// name, its duration in nanoseconds, its phase attributes verbatim,
+// and its error — and nothing else.
+func TestSpanEndEventAttrs(t *testing.T) {
+	p, _, sub := publishSpans(t, true)
+	p.Bus.Close()
+	var ends []Event
+	for e := range sub.Events() {
+		if e.Kind == KindSpanEnd {
+			ends = append(ends, e)
+		}
+	}
+	want := []map[string]string{
+		{"name": obsv.SpanCallPfx + "CreateVpc", "durationNs": "250000"},
+		{
+			"name": obsv.SpanHTTPPfx + "v2.invoke", "durationNs": "1250000",
+			"phase.decode": "1500", "phase.interp.dispatch": "42000", "error": "status 400",
+		},
+		{"name": "probe", "durationNs": "0"},
+	}
+	if len(ends) != len(want) {
+		t.Fatalf("got %d span.end events, want %d", len(ends), len(want))
+	}
+	for i, e := range ends {
+		if !reflect.DeepEqual(e.Attrs, want[i]) {
+			t.Errorf("span.end %d attrs = %v, want %v", i, e.Attrs, want[i])
+		}
+	}
+	if ends[1].Session != "alice" || ends[1].Action != "CreateVpc" || ends[1].TraceID == "" {
+		t.Errorf("request span.end identity wrong: %+v", ends[1])
 	}
 }
